@@ -14,9 +14,9 @@
       (Figure 1);
     - the biased-majority vote update (lines 9-12, Figure 3).
 
-    After the last epoch comes one broadcast slot (line 14); {!finalize}
-    consumes it (lines 15-16). The caller (Algorithm 1's wrapper or
-    Algorithm 4) decides what to do with undecided processes.
+    After the last epoch comes one broadcast slot (line 14);
+    {!finalize_into} consumes it (lines 15-16). The caller (Algorithm 1's
+    wrapper or Algorithm 4) decides what to do with undecided processes.
 
     Operative-status rules (Appendix B.1):
     - a source that receives fewer than floor(|W|/2)+1 confirmations, or
@@ -249,11 +249,6 @@ let is_neighbor st local =
 (* Aggregation (Algorithm 2 + GroupRelay)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Both engine paths run the same iterator-driven slot logic: the list
-   path feeds [iter_of_list], the buffered path iterates the engine's
-   mailbox directly (no intermediate (src, msg) list on the hot path). *)
-let iter_of_list inbox f = List.iter (fun (src, m) -> f src m) inbox
-
 (* Entry to a stage's B slot: transmitters record the first-received counts
    per child bag (own contribution first — self-messages are handled
    locally, not through the network) and acknowledge each source heard —
@@ -321,11 +316,12 @@ let agg_finalize_stage st ~slot ~s ~iter =
   end
 
 (* Group broadcast of one shared message record. Emission walks the member
-   array backwards: the old list path built its output by fold-left
-   consing, so the wire order (and hence the trace) is the reverse of the
-   array — kept bit-identical here. A contiguous group goes out as one
-   descending broadcast entry; scattered member sets (possible under
-   Algorithm 4's sub-instances) fall back to pointwise emission. *)
+   array backwards: the original list-based implementation built its
+   output by fold-left consing, so the wire order (and hence the trace) is
+   the reverse of the array — kept bit-identical here. A contiguous group
+   goes out as one descending broadcast entry; scattered member sets
+   (possible under Algorithm 4's sub-instances) fall back to pointwise
+   emission. *)
 let to_group_into st msg ~emit ~emit_all =
   if st.group_contig then
     emit_all ~lo:st.group_lo ~hi:st.group_hi ~skip:st.pid ~desc:true msg
@@ -481,15 +477,15 @@ let to_group_all_into st msg ~emit ~emit_all =
       if pid <> st.pid then emit pid msg
     done
 
-(** Iterator core of {!step}: [iter f] must call [f src m] for every
-    message of the previous slot's inbox in delivery order; outgoing
-    messages go to [emit], addressed to global pids, in the exact order the
-    list path would return them. The entry pass emits the Confirm
-    acknowledgments directly — an [Agg_a] slot is always followed by the
-    matching [Agg_b] slot, and entry processing shares the emission's
-    [transmits] guard. Full-group/full-instance broadcasts go through
-    [emit_all] (one shared record + range); per-destination messages stay
-    on [emit]. *)
+(** Run local slot [slot] (1-based, up to [rounds sh]), mutating the
+    state. [iter f] must call [f src m] for every message of the previous
+    slot's inbox in delivery order; outgoing messages go to [emit],
+    addressed to global pids, in wire order. The entry pass emits the
+    Confirm acknowledgments directly — an [Agg_a] slot is always followed
+    by the matching [Agg_b] slot, and entry processing shares the
+    emission's [transmits] guard. Full-group/full-instance broadcasts go
+    through [emit_all] (one shared record + range); per-destination
+    messages stay on [emit]. *)
 let step_into st ~slot ~iter ~rand ~emit ~emit_all =
   (if slot > 1 then
      match st.sh.schedule.(slot - 2) with
@@ -522,17 +518,9 @@ let step_into st ~slot ~iter ~rand ~emit ~emit_all =
       if st.sh.final_broadcast && st.operative && st.decided then
         to_group_all_into st (Final st.b) ~emit ~emit_all
 
-(** Run local slot [slot] (1-based, up to [rounds sh]). Mutates the state
-    and returns the messages to send, addressed to global pids. *)
-let step st ~slot ~inbox ~rand =
-  let out = ref [] in
-  let emit dst m = out := (dst, m) :: !out in
-  step_into st ~slot ~iter:(iter_of_list inbox) ~rand ~emit
-    ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
-  List.rev !out
-
-(** Iterator core of {!finalize} (lines 15-16); same [iter] contract as
-    {!step_into}. *)
+(** Consume the Bcast slot's inbox (lines 15-16) through [iter] (same
+    contract as {!step_into}). Must be called exactly once, on the round
+    after [rounds sh] slots have been stepped. *)
 let finalize_into st ~iter =
   if st.operative && st.decided then st.got_decision <- true
   else begin
@@ -549,11 +537,8 @@ let finalize_into st ~iter =
     | None -> ()
   end
 
-(** Consume the Bcast slot's inbox (lines 15-16). Must be called exactly
-    once, on the round after [rounds sh] slots have been stepped. *)
-let finalize st ~inbox = finalize_into st ~iter:(iter_of_list inbox)
-
-(** Line 16: the decision available right after {!finalize}, if any. *)
+(** Line 16: the decision available right after {!finalize_into}, if
+    any. *)
 let line16_decision st =
   if st.decided then Some st.b
   else if (not st.operative) && st.got_decision then Some st.b

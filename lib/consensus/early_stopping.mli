@@ -7,11 +7,8 @@
 type state
 type msg
 
-val protocol : Sim.Config.t -> Sim.Protocol_intf.t
-
 val protocol_buffered : Sim.Config.t -> Sim.Protocol_intf.buffered
-(** The same protocol on the buffered engine path (shared iterator core —
-    byte-identical to {!protocol} through the shim). *)
+(** The protocol: one shared message record per broadcast. *)
 
 val builder : Sim.Protocol_intf.builder
 (** Registry constructor: id ["early-stopping"]; schedule bound

@@ -1,4 +1,4 @@
-(** First-class-module registry of every {!Sim.Protocol_intf.S}
+(** First-class-module registry of every {!Sim.Protocol_intf.BUFFERED}
     implementation in [lib/consensus], with the metadata the differential
     conformance runner needs. To register a new protocol, export a
     {!Sim.Protocol_intf.BUILDER} from its module and add
@@ -23,27 +23,26 @@ type entry = {
   min_n : int;  (** smallest supported system size *)
   builder : Sim.Protocol_intf.builder;
   buffered : (Sim.Config.t -> Sim.Protocol_intf.buffered) option;
-      (** allocation-free construction, for protocols ported to
-          [step_into] *)
+      (** the protocol's constructor — {!build} runs it. [make] always
+          fills [Some B.build]; the field is an option only because the
+          repository benchmark ([perfbench/probe.ml]) matches on it to
+          wrap and time construction, and its sources stay fixed. *)
 }
 
 val make :
-  ?buffered:(Sim.Config.t -> Sim.Protocol_intf.buffered) ->
   model:model ->
   kind:kind ->
   max_t:(int -> int) ->
   min_n:int ->
   Sim.Protocol_intf.builder ->
   entry
-(** The only way entries are formed: the id is the builder's [name]. *)
+(** The only way entries are formed: the id is the builder's [name], the
+    constructor its [build]. *)
 
-val build : entry -> Sim.Config.t -> Sim.Protocol_intf.t
-(** Instantiate the entry's protocol for a configuration. *)
-
-val build_any : entry -> Sim.Config.t -> Sim.Protocol_intf.any
-(** Instantiate on the protocol's preferred engine path: buffered when
-    ported, legacy otherwise. The equivalence suite keeps the two paths
-    bit-identical. *)
+val build : entry -> Sim.Config.t -> Sim.Protocol_intf.buffered
+(** Instantiate the entry's protocol for a configuration through
+    [entry.buffered] (so a wrapped constructor is honoured), falling back
+    to the builder when the field is [None]. *)
 
 val rounds_bound : entry -> Sim.Config.t -> int
 (** Schedule length to use as [max_rounds]; termination is expected within

@@ -2,9 +2,9 @@
    string is the API: the CLI accepts it (--spec), replay one-liners
    print it, and the cache addresses results by it. Keep the field
    order and spellings frozen — changing either silently invalidates
-   every existing cache (which is what Cache.fingerprint is for). *)
-
-type engine = Auto | Legacy
+   every existing cache (which is what Cache.fingerprint is for). The
+   [engine=auto] token is one such frozen spelling: the list engine it
+   once selected against is gone, but every key still carries it. *)
 
 type t = {
   protocol : string;
@@ -16,7 +16,6 @@ type t = {
   inputs : string;
   net : Net.Spec.t option;
   budget : Supervise.Budget.t;
-  engine : engine;
 }
 
 (* --- adversary / input-pattern spelling tables (the run subcommand's
@@ -46,9 +45,8 @@ let inputs_table =
   ]
 
 let make ?x ?(adversary = "none") ?(inputs = "mixed") ?net
-    ?(budget = Supervise.Budget.unlimited) ?(engine = Auto) ~protocol ~n
-    ~t_max ~seed () =
-  { protocol; n; t_max; x; seed; adversary; inputs; net; budget; engine }
+    ?(budget = Supervise.Budget.unlimited) ~protocol ~n ~t_max ~seed () =
+  { protocol; n; t_max; x; seed; adversary; inputs; net; budget }
 
 let adversary spec =
   match List.assoc_opt spec.adversary adversaries with
@@ -63,16 +61,15 @@ let inputs spec =
 (* --- canonical serialization --- *)
 
 let opt_i = function None -> "-" | Some v -> string_of_int v
-let engine_str = function Auto -> "auto" | Legacy -> "legacy"
 
 let to_string spec =
   (* net last: Net.Spec.to_string never contains spaces, but keeping the
      only compound token at the end makes the format trivially
      extensible *)
-  Printf.sprintf "p=%s n=%d t=%d x=%s seed=%d a=%s i=%s engine=%s wall=%s \
+  Printf.sprintf "p=%s n=%d t=%d x=%s seed=%d a=%s i=%s engine=auto wall=%s \
                   rounds=%s msgs=%s rand=%s net=%s"
     spec.protocol spec.n spec.t_max (opt_i spec.x) spec.seed spec.adversary
-    spec.inputs (engine_str spec.engine)
+    spec.inputs
     (match spec.budget.Supervise.Budget.wall_s with
     | None -> "-"
     | Some w -> Printf.sprintf "%h" w)
@@ -115,11 +112,16 @@ let of_string s =
       let* seed = Result.bind (field "seed" tseed) (int "seed") in
       let* adversary = field "a" ta in
       let* inputs = field "i" ti in
-      let* engine =
+      let* () =
         Result.bind (field "engine" teng) (function
-          | "auto" -> Ok Auto
-          | "legacy" -> Ok Legacy
-          | v -> Error (Printf.sprintf "run spec: engine must be auto or legacy, not %S" v))
+          | "auto" -> Ok ()
+          | "legacy" ->
+              Error
+                "run spec: engine=legacy is no longer supported (the list \
+                 engine was removed); use engine=auto"
+          | v ->
+              Error
+                (Printf.sprintf "run spec: engine must be auto, not %S" v))
       in
       let* wall =
         Result.bind (field "wall" twall) (function
@@ -169,7 +171,6 @@ let of_string s =
               max_messages = msgs;
               max_rand_bits = rand;
             };
-          engine;
         }
   | _ ->
       Error
@@ -181,16 +182,12 @@ let of_string s =
 let resolve spec =
   if spec.protocol = "param" then
     Ok
-      ( Consensus.Param_omissions.builder ~x:(Option.value spec.x ~default:4) (),
-        None )
+      (Consensus.Param_omissions.builder
+         ~x:(Option.value spec.x ~default:4)
+         ())
   else
     match Harness.Registry.find spec.protocol with
-    | Ok e ->
-        Ok
-          ( e.Harness.Registry.builder,
-            match spec.engine with
-            | Legacy -> None
-            | Auto -> e.Harness.Registry.buffered )
+    | Ok e -> Ok e.Harness.Registry.builder
     | Error msg -> Error (msg ^ " (plus \"param\", which takes -x)")
 
 let config spec builder =
@@ -201,21 +198,17 @@ let config spec builder =
 let execute ?trace ?store spec =
   match resolve spec with
   | Error msg -> invalid_arg ("Run_spec.execute: " ^ msg)
-  | Ok (builder, buffered) -> (
+  | Ok builder -> (
       let module B = (val builder : Sim.Protocol_intf.BUILDER) in
       let cfg = config spec builder in
-      let proto =
-        match (buffered, spec.engine) with
-        | Some f, Auto -> Sim.Protocol_intf.Buffered (f cfg)
-        | _ -> Sim.Protocol_intf.Legacy (B.build cfg)
-      in
+      let proto = B.build cfg in
       let key = to_string spec in
       let adversary = adversary spec in
       let inputs = inputs spec in
       match spec.net with
       | None -> (
           match
-            Supervise.Cached.run_any ?trace ~budget:spec.budget ?store ~key
+            Supervise.Cached.run ?trace ~budget:spec.budget ?store ~key
               proto cfg ~adversary ~inputs
           with
           | Ok o -> Ok (o, None)

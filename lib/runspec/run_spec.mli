@@ -2,19 +2,17 @@
 
     A [Run_spec.t] captures everything that determines a run's outcome:
     protocol, system size and fault budget, seed, adversary, input
-    pattern, engine path, watchdog budget, and the optional lossy-link
-    spec. Its {!to_string} serialization is canonical — fixed field
-    order, one spelling per value, exact float round-trip — and is
-    shared by the [consensus_sim run --spec] CLI, quarantine replay
-    one-liners ({!to_command}) and the content-addressed cache key, so
+    pattern, watchdog budget, and the optional lossy-link spec. Its
+    {!to_string} serialization is canonical — fixed field order, one
+    spelling per value, exact float round-trip — and is shared by the
+    [consensus_sim run --spec] CLI, quarantine replay one-liners
+    ({!to_command}) and the content-addressed cache key, so
     "the same run" means the same string everywhere.
 
     Trace options are deliberately {e not} part of the record: tracing
     is an observer and never changes an outcome, so two runs differing
     only in observation share one cache entry. Provenance is kept
     honest by the [cache-hit] trace event instead. *)
-
-type engine = Auto | Legacy
 
 type t = {
   protocol : string;  (** registry id, or ["param"] (takes [x]) *)
@@ -26,7 +24,6 @@ type t = {
   inputs : string;  (** one of {!Cli.inputs_names} *)
   net : Net.Spec.t option;
   budget : Supervise.Budget.t;
-  engine : engine;
 }
 
 val make :
@@ -35,7 +32,6 @@ val make :
   ?inputs:string ->
   ?net:Net.Spec.t ->
   ?budget:Supervise.Budget.t ->
-  ?engine:engine ->
   protocol:string ->
   n:int ->
   t_max:int ->
@@ -43,17 +39,20 @@ val make :
   unit ->
   t
 (** Defaults: no [x], adversary ["none"], inputs ["mixed"], no net spec,
-    unlimited budget, [Auto] engine. *)
+    unlimited budget. *)
 
 val to_string : t -> string
 (** Canonical serialization: space-separated [k=v] tokens in a fixed
     order ([p n t x seed a i engine wall rounds msgs rand net]), ["-"]
     for absent options, the wall budget as a [%h] hex float so the
-    round-trip is exact. Contains no tabs or newlines. *)
+    round-trip is exact. Contains no tabs or newlines. The [engine] token
+    is always [engine=auto]: it is kept, frozen, so existing cache keys
+    and replay one-liners stay valid. *)
 
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [Error] is a one-line message. Validates
-    the adversary and inputs spellings and the field order. *)
+    the adversary and inputs spellings and the field order, and rejects
+    [engine=legacy] (the list engine it named was removed). *)
 
 val digest : t -> string
 (** Hex digest of {!to_string} — a stable short name for the run. *)
@@ -62,14 +61,8 @@ val to_command : t -> string
 (** A replay one-liner: [dune exec bin/consensus_sim.exe -- run --spec
     '<to_string>'] — the canonical serialization, directly executable. *)
 
-val resolve :
-  t ->
-  ( Sim.Protocol_intf.builder
-    * (Sim.Config.t -> Sim.Protocol_intf.buffered) option,
-    string )
-  result
-(** The spec's protocol builder (plus the buffered constructor when one
-    exists and [engine = Auto]); [Error] lists the registered protocols
+val resolve : t -> (Sim.Protocol_intf.builder, string) result
+(** The spec's protocol builder; [Error] lists the registered protocols
     plus ["param"]. *)
 
 val config : t -> Sim.Protocol_intf.builder -> Sim.Config.t

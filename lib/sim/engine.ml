@@ -95,9 +95,8 @@ let agreed_decision outcome =
     mailboxes, envelope arena, adversary view, omission scratch — allocated
     once and reused across runs. Benches and sweeps that execute many runs
     of the same (protocol, cfg) pair amortise the buffer construction away;
-    runs through an instance are bit-identical to fresh {!run_buffered}
-    runs because every run resets all per-run state before its first
-    round. *)
+    runs through an instance are bit-identical to fresh {!run} runs
+    because every run resets all per-run state before its first round. *)
 type instance = {
   run_i :
     ?on_round:(round:int -> View.envelope array -> unit) ->
@@ -110,10 +109,9 @@ type instance = {
     outcome;
 }
 
-(* The engine proper, written against the buffered protocol interface; the
-   list-based [run] below routes legacy protocols through the shim. Event
-   and metric ordering deliberately reproduces the original list-based
-   engine bit for bit:
+(* The engine proper. Event and metric ordering deliberately reproduces the
+   original list-based engine bit for bit (the wire order every trace and
+   cache entry was recorded in):
    - the envelope array groups senders in ascending pid order, and within a
      sender lists messages in *reverse* emission order (the old engine
      consed each outbox onto an accumulator);
@@ -476,7 +474,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                   else
                     (* senders ascend and each sender pushes in reverse
                        emission order, so inboxes come out sorted with the
-                       same-sender order the legacy engine produced *)
+                       same-sender order the original engine produced *)
                     Mailbox.rdeliver ob inboxes ~peer:pid
               | View.Omit_all ->
                   if not faulty.(pid) then
@@ -508,7 +506,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       | _ ->
           (* General path: tracer or link present, or a pointwise-only
              plan. Broadcast segments are expanded in place first, then
-             the per-message loop runs exactly as the legacy engine did —
+             the per-message loop runs exactly as the original engine did —
              with the omission verdict read from the compiled mask when
              one exists (so traced runs still exercise mask semantics)
              and from the predicate otherwise. *)
@@ -642,33 +640,16 @@ let run_instance ?on_round ?stop ?trace ?link (i : instance)
     ~(adversary : Adversary_intf.t) ~(inputs : int array) : outcome =
   i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
 
-(** [run protocol cfg ~adversary ~inputs] executes a full run of a
-    list-based protocol through the compatibility shim. [on_round], if
-    given, is called once per round with the round's envelopes (before the
-    adversary intervenes) — benches use it to trace per-slot traffic.
-    [stop], if given, is consulted at the end of every round with the
-    cumulative metric counters; returning [true] ends the run exactly as
-    hitting [max_rounds] would — the supervision layer uses it to extend
-    the [max_rounds] semantics to message/randomness/wall-clock budgets. *)
-let run ?on_round ?stop ?trace ?link (module P : Protocol_intf.S)
-    (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
-    outcome =
-  let i = instance (module Protocol_intf.Shim (P)) cfg in
-  i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
-
-(** Run a buffered protocol on the allocation-free path directly. *)
-let run_buffered ?on_round ?stop ?trace ?link (p : Protocol_intf.buffered)
+(** [run protocol cfg ~adversary ~inputs] executes a full run on a fresh
+    instance. [on_round], if given, is called once per round with the
+    round's envelopes (before the adversary intervenes) — benches use it
+    to trace per-slot traffic. [stop], if given, is consulted at the end of
+    every round with the cumulative metric counters; returning [true] ends
+    the run exactly as hitting [max_rounds] would — the supervision layer
+    uses it to extend the [max_rounds] semantics to
+    message/randomness/wall-clock budgets. *)
+let run ?on_round ?stop ?trace ?link (p : Protocol_intf.buffered)
     (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
     outcome =
   let i = instance p cfg in
   i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
-
-(** Dispatch on whichever path the protocol supports. *)
-let run_any ?on_round ?stop ?trace ?link (p : Protocol_intf.any)
-    (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
-    outcome =
-  match p with
-  | Protocol_intf.Legacy p ->
-      run ?on_round ?stop ?trace ?link p cfg ~adversary ~inputs
-  | Protocol_intf.Buffered p ->
-      run_buffered ?on_round ?stop ?trace ?link p cfg ~adversary ~inputs

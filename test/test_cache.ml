@@ -158,56 +158,46 @@ let test_concurrent_writers () =
 
 (* A small decided run per registry protocol: adversary none, mixed
    inputs, the registry's own rounds bound. *)
-let spec_for (e : Harness.Registry.entry) ~engine =
+let spec_for (e : Harness.Registry.entry) =
   let n = max e.Harness.Registry.min_n 8 in
   let t = min 1 (e.Harness.Registry.max_t n) in
-  Run_spec.make ~protocol:e.Harness.Registry.id ~n ~t_max:t ~seed:3 ~engine ()
+  Run_spec.make ~protocol:e.Harness.Registry.id ~n ~t_max:t ~seed:3 ()
 
 let test_hit_equals_recompute () =
   with_store (fun _dir open_ ->
       let s = open_ () in
       List.iter
         (fun (e : Harness.Registry.entry) ->
-          List.iter
-            (fun engine ->
-              let spec = spec_for e ~engine in
-              let name =
-                Printf.sprintf "%s/%s" e.Harness.Registry.id
-                  (match engine with
-                  | Run_spec.Auto -> "auto"
-                  | Run_spec.Legacy -> "legacy")
-              in
-              let cold =
-                match Run_spec.execute ~store:s spec with
-                | Ok (o, None) -> o
-                | _ -> Alcotest.failf "%s: cold run failed" name
-              in
-              let sink, events = Trace.Sink.memory () in
-              let warm =
-                match Run_spec.execute ~trace:sink ~store:s spec with
-                | Ok (o, None) -> o
-                | _ -> Alcotest.failf "%s: warm run failed" name
-              in
-              if warm <> cold then
-                Alcotest.failf "%s: warm outcome differs from cold" name;
-              (* provenance: the warm trace is exactly one cache-hit
-                 event carrying the content digest *)
-              match events () with
-              | [ Trace.Event.Cache_hit { key } ] ->
-                  Alcotest.(check string)
-                    (name ^ " digest")
-                    (Cache.Store.digest_key s (Run_spec.to_string spec))
-                    key
-              | evs ->
-                  Alcotest.failf "%s: expected exactly one cache-hit, got %d"
-                    name (List.length evs))
-            [ Run_spec.Auto; Run_spec.Legacy ])
+          let spec = spec_for e in
+          let name = e.Harness.Registry.id in
+          let cold =
+            match Run_spec.execute ~store:s spec with
+            | Ok (o, None) -> o
+            | _ -> Alcotest.failf "%s: cold run failed" name
+          in
+          let sink, events = Trace.Sink.memory () in
+          let warm =
+            match Run_spec.execute ~trace:sink ~store:s spec with
+            | Ok (o, None) -> o
+            | _ -> Alcotest.failf "%s: warm run failed" name
+          in
+          if warm <> cold then
+            Alcotest.failf "%s: warm outcome differs from cold" name;
+          (* provenance: the warm trace is exactly one cache-hit event
+             carrying the content digest *)
+          match events () with
+          | [ Trace.Event.Cache_hit { key } ] ->
+              Alcotest.(check string)
+                (name ^ " digest")
+                (Cache.Store.digest_key s (Run_spec.to_string spec))
+                key
+          | evs ->
+              Alcotest.failf "%s: expected exactly one cache-hit, got %d" name
+                (List.length evs))
         Harness.Registry.all;
-      (* every protocol ran once per engine path; auto and legacy have
-         distinct canonical strings, so distinct entries *)
       Alcotest.(check int)
-        "one entry per protocol per engine"
-        (2 * List.length Harness.Registry.all)
+        "one entry per protocol"
+        (List.length Harness.Registry.all)
         (Cache.Store.entries s);
       Cache.Store.close s)
 
@@ -318,8 +308,7 @@ let test_run_spec_roundtrip () =
     [
       Run_spec.make ~protocol:"optimal" ~n:31 ~t_max:1 ~seed:7
         ~adversary:"random" ~inputs:"ones" ();
-      Run_spec.make ~protocol:"param" ~x:4 ~n:36 ~t_max:1 ~seed:1
-        ~engine:Run_spec.Legacy ();
+      Run_spec.make ~protocol:"param" ~x:4 ~n:36 ~t_max:1 ~seed:1 ();
       Run_spec.make ~protocol:"flood" ~n:16 ~t_max:2 ~seed:5
         ~net:{ Net.Spec.default with Net.Spec.drop = 0.05 }
         ~budget:
@@ -349,6 +338,22 @@ let test_run_spec_roundtrip () =
     (Run_spec.to_string
        (Run_spec.make ~protocol:"optimal" ~n:31 ~t_max:1 ~seed:7
           ~adversary:"random" ~inputs:"ones" ()));
+  (* spec strings written before the [engine] field was dropped — cache
+     keys and replay one-liners already on disk — still parse and
+     re-serialize byte for byte, so no fingerprint bump is needed *)
+  List.iter
+    (fun s ->
+      match Run_spec.of_string s with
+      | Ok spec ->
+          Alcotest.(check string) "pre-change spec stable" s
+            (Run_spec.to_string spec)
+      | Error e -> Alcotest.failf "of_string rejected %S: %s" s e)
+    [
+      "p=param n=36 t=1 x=4 seed=1 a=none i=mixed engine=auto wall=- \
+       rounds=- msgs=- rand=- net=-";
+      "p=flood n=16 t=2 x=- seed=5 a=none i=mixed engine=auto \
+       wall=0x1.8p+0 rounds=100 msgs=100000 rand=4096 net=drop=0.05";
+    ];
   let cmd =
     Run_spec.to_command
       (Run_spec.make ~protocol:"flood" ~n:8 ~t_max:1 ~seed:1 ())
@@ -379,7 +384,14 @@ let test_run_spec_errors () =
        (err
           "p=flood n=8 t=1 x=- seed=1 a=none i=mixed engine=turbo wall=- \
            rounds=- msgs=- rand=- net=-")
-       "engine must be auto or legacy");
+       "engine must be auto");
+  Alcotest.(check bool)
+    "legacy engine rejected" true
+    (contains
+       (err
+          "p=flood n=8 t=1 x=- seed=1 a=none i=mixed engine=legacy wall=- \
+           rounds=- msgs=- rand=- net=-")
+       "list engine was removed");
   match Run_spec.resolve (Run_spec.make ~protocol:"nope" ~n:8 ~t_max:1 ~seed:1 ()) with
   | Ok _ -> Alcotest.fail "resolved an unknown protocol"
   | Error msg ->
@@ -471,8 +483,8 @@ let suite =
       test_fingerprint_invalidates;
     Alcotest.test_case "concurrent writers tear-free" `Quick
       test_concurrent_writers;
-    Alcotest.test_case "hit = recompute, whole registry x both engines"
-      `Quick test_hit_equals_recompute;
+    Alcotest.test_case "hit = recompute, whole registry" `Quick
+      test_hit_equals_recompute;
     Alcotest.test_case "hit = recompute with a net spec" `Quick
       test_hit_equals_recompute_net;
     Alcotest.test_case "corrupt entry costs one recompute" `Quick

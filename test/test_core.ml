@@ -25,7 +25,11 @@ let drive ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) ~m ~inputs () =
     let next = Array.make m [] in
     Array.iteri
       (fun pid st ->
-        let out = Core.step st ~slot ~inbox:inboxes.(pid) ~rand in
+        let out =
+          List_driver.collect
+            (Core.step_into st ~slot ~iter:(List_driver.iter inboxes.(pid))
+               ~rand)
+        in
         List.iter
           (fun (dst, msg) ->
             if not (omit ~slot ~src:pid ~dst) then
@@ -36,7 +40,9 @@ let drive ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) ~m ~inputs () =
       (fun i l -> inboxes.(i) <- List.sort (fun (a, _) (b, _) -> compare a b) l)
       next
   done;
-  Array.iteri (fun pid st -> Core.finalize st ~inbox:inboxes.(pid)) sts;
+  Array.iteri
+    (fun pid st -> Core.finalize_into st ~iter:(List_driver.iter inboxes.(pid)))
+    sts;
   (sh, sts)
 
 let test_clean_run_decides () =

@@ -1,9 +1,9 @@
 (* Property tests for the engine's flat message buffer (Sim.Mailbox):
    insertion order through growth, reset-by-count reuse never leaking
-   stale entries, the monomorphic stable sort agreeing with the old
-   [List.sort] ordering the legacy engine used, and the protocols'
-   mailbox-native filtered iteration agreeing with the legacy
-   list-materializing [List.filter_map] path. *)
+   stale entries, the monomorphic stable sort agreeing with the
+   [List.sort] ordering the original list-based engine used, and the
+   protocols' mailbox-native filtered iteration agreeing with
+   [List.filter_map] over the materialized contents. *)
 
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xb0f |]) t

@@ -92,15 +92,17 @@ let test_pk_undecided_residue () =
      owns that residue (Algorithm 1 lines 18-19) *)
   let t_max = 1 in
   let pk =
-    ref
-      (Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
-         ~input:1)
+    Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
+      ~input:1
   in
   for lr = 1 to Consensus.Phase_king.rounds ~t_max do
-    let pk', _out = Consensus.Phase_king.step !pk ~local_round:lr ~inbox:[] in
-    pk := pk'
+    Consensus.Phase_king.step_into pk ~local_round:lr
+      ~iter:(List_driver.iter [])
+      ~emit_all:(fun ~lo:_ ~hi:_ ~skip:_ ~desc:_ _ -> ())
   done;
-  let fin = Consensus.Phase_king.finalize !pk ~inbox:[] in
+  let fin =
+    Consensus.Phase_king.finalize_into pk ~iter:(List_driver.iter [])
+  in
   Alcotest.(check bool) "never heard" false (Consensus.Phase_king.heard fin);
   Alcotest.(check (option int))
     "undecided residue" None
@@ -112,16 +114,18 @@ let test_pk_heard_decides () =
   (* a single received fallback message is enough to clear the residue *)
   let t_max = 1 in
   let pk =
-    ref
-      (Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
-         ~input:1)
+    Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
+      ~input:1
   in
   for lr = 1 to Consensus.Phase_king.rounds ~t_max do
     let inbox = if lr = 2 then [ (0, Consensus.Phase_king.Value 0) ] else [] in
-    let pk', _out = Consensus.Phase_king.step !pk ~local_round:lr ~inbox in
-    pk := pk'
+    Consensus.Phase_king.step_into pk ~local_round:lr
+      ~iter:(List_driver.iter inbox)
+      ~emit_all:(fun ~lo:_ ~hi:_ ~skip:_ ~desc:_ _ -> ())
   done;
-  let fin = Consensus.Phase_king.finalize !pk ~inbox:[] in
+  let fin =
+    Consensus.Phase_king.finalize_into pk ~iter:(List_driver.iter [])
+  in
   Alcotest.(check bool) "heard" true (Consensus.Phase_king.heard fin);
   Alcotest.(check bool) "decided" true
     (Consensus.Phase_king.decision fin <> None)

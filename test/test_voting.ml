@@ -110,10 +110,11 @@ let run_phase_king ~n ~t_max ~participating ~inputs =
     let next = Array.make n [] in
     Array.iteri
       (fun pid st ->
-        let st, out =
-          Consensus.Phase_king.step st ~local_round:r ~inbox:inboxes.(pid)
+        let out =
+          List_driver.collect (fun ~emit:_ ~emit_all ->
+              Consensus.Phase_king.step_into st ~local_round:r
+                ~iter:(List_driver.iter inboxes.(pid)) ~emit_all)
         in
-        sts.(pid) <- st;
         List.iter (fun (dst, m) -> next.(dst) <- (pid, m) :: next.(dst)) out)
       sts;
     Array.iteri
@@ -122,7 +123,9 @@ let run_phase_king ~n ~t_max ~participating ~inputs =
   done;
   Array.iteri
     (fun pid st ->
-      sts.(pid) <- Consensus.Phase_king.finalize st ~inbox:inboxes.(pid))
+      sts.(pid) <-
+        Consensus.Phase_king.finalize_into st
+          ~iter:(List_driver.iter inboxes.(pid)))
     sts;
   Array.map Consensus.Phase_king.decision sts
 
