@@ -11,9 +11,6 @@
                                               # are identical at any width)
      dune exec bench/main.exe -- --json out.json  # JSON-lines sink
                                               # (default BENCH_consensus.json)
-     dune exec bench/main.exe -- --resume     # skip work journaled in
-                                              # <json>.journal by an
-                                              # interrupted campaign
      dune exec bench/main.exe -- --stable-json    # omit wall_s stamps, so
                                               # two runs diff byte-identical
      dune exec bench/main.exe -- --wall-budget 30 --rand-budget 1000000
@@ -28,7 +25,10 @@
      dune exec bench/main.exe -- --seeds 8    # seeds 1..8 at every point
      dune exec bench/main.exe -- --cache DIR  # content-addressed run cache:
                                               # hits skip the protocol run,
-                                              # results stay byte-identical
+                                              # results stay byte-identical;
+                                              # a killed campaign re-run
+                                              # with the same DIR skips
+                                              # everything it finished
 
    A sweep task that crashes, times out, or breaches a budget is quarantined
    (a JSON record with a replay command, kind="quarantine"), the sweep keeps
@@ -63,7 +63,6 @@ let () =
   let jobs = ref 0 in
   let seeds = ref 0 in
   let json = ref "BENCH_consensus.json" in
-  let resume = ref false in
   let stable = ref false in
   let wall_budget = ref 0. in
   let round_budget = ref 0 in
@@ -101,11 +100,6 @@ let () =
         Arg.Set_string json,
         "FILE  JSON-lines results sink (default BENCH_consensus.json; \
          \"\" disables)" );
-      ( "--resume",
-        Arg.Set resume,
-        "skip sweep tasks journaled in <json>.journal by a previous \
-         (interrupted) campaign; results are bit-identical to an \
-         uninterrupted run" );
       ( "--stable-json",
         Arg.Set stable,
         "omit wall_s stamps from JSON records, so two runs of the same \
@@ -150,7 +144,8 @@ let () =
         Arg.Set_string cache,
         "DIR  content-addressed run cache: protocol runs already in DIR are \
          served from it (kind=\"cache\" rows report hits/misses/writes), \
-         fresh results are written back" );
+         fresh results are written back; re-running a killed campaign with \
+         the same DIR skips everything it already finished" );
       ( "--no-cache",
         Arg.Set no_cache,
         "ignore --cache for this campaign (every run executes)" );
@@ -159,8 +154,7 @@ let () =
   Arg.parse spec
     (fun _ -> ())
     "bench/main.exe [--quick] [--only ids] [--micro] [--jobs N] [--seeds N]\n\
-    \                [--json FILE] [--resume] [--stable-json] \
-     [--wall-budget S]\n\
+    \                [--json FILE] [--stable-json] [--wall-budget S]\n\
     \                [--round-budget N] [--msg-budget N] [--rand-budget N]\n\
     \                [--trace] [--trace-dir DIR] [--trace-format F] \
      [--trace-tail K]\n\
@@ -177,13 +171,7 @@ let () =
     if not (Sys.file_exists !trace_dir) then Sys.mkdir !trace_dir 0o755;
     Bench_util.trace_dir := Some !trace_dir
   end;
-  if !resume && !json = "" then begin
-    Printf.eprintf "--resume needs a --json path (the journal lives beside it)\n";
-    exit 2
-  end;
   Bench_util.Out.set_path (if !json = "" then None else Some !json);
-  if !json <> "" then
-    Bench_util.enable_journal ~path:(!json ^ ".journal") ~resume:!resume;
   if (not !no_cache) && !cache <> "" then Bench_util.enable_cache ~dir:!cache;
   Bench_util.budget :=
     Run_spec.Cli.budget_of_flags
@@ -254,6 +242,5 @@ let () =
   Printf.printf "\ntotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0);
   Bench_util.print_failure_summary ();
   Bench_util.Out.close ();
-  Bench_util.close_journal ();
   Bench_util.close_cache ();
   if Bench_util.failures () > 0 then exit 1

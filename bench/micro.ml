@@ -115,7 +115,9 @@ let measure_runs f ~runs =
 
 (* One (protocol, path, n) measurement: cache lookup, the gated
    kind="micro" row, the logged kind="micro-throughput" row. Shared by
-   the buffered and masked columns below.
+   the buffered and masked columns below. The measurement runs through
+   [Bench_util.protected], so a failing one is quarantined like any
+   other supervised task.
 
    Allocation counts are a pure function of the case (runs are
    seeded, the allocator is deterministic), so they cache like any
@@ -127,52 +129,48 @@ let measure_path ~name ~path ~n ~t ~runs f =
   let key =
     Printf.sprintf "micro-engine|%s|%s|n=%d|t=%d|runs=%d" name path n t runs
   in
-    let cached =
-      match !Bench_util.store with
-      | None -> None
-      | Some s ->
-          Option.bind (Cache.Store.lookup s key) (fun payload ->
-              match String.split_on_char ' ' payload with
-              | [ w; r ] -> (
-                  try Some (float_of_string w, int_of_string r)
-                  with _ -> None)
-              | _ -> None)
-    in
-    let wpr, rounds, fresh_wall =
-      match cached with
-      | Some (wpr, rounds) -> (wpr, rounds, None)
-      | None ->
-          let words, rounds, wall = measure_runs f ~runs in
-          let wpr = words /. float_of_int (max 1 rounds) in
-          Option.iter
-            (fun s ->
-              Cache.Store.add s ~key (Printf.sprintf "%h %d" wpr rounds))
-            !Bench_util.store;
-          (wpr, rounds, Some wall)
-    in
-    Out.emit ~kind:"micro"
-      [
-        ("protocol", Out.S name);
-        ("path", Out.S path);
-        ("n", Out.I n);
-        ("t", Out.I t);
-        ("runs", Out.I runs);
-        ("rounds", Out.I rounds);
-        ("words_per_round", Out.F wpr);
-      ];
-    (* throughput is a logged artifact only — machine-dependent, so it is
-       neither gated by perf_gate nor written in stable (baseline) mode *)
-    (match fresh_wall with
-    | Some wall when not (Out.is_stable ()) ->
-        Out.emit ~kind:"micro-throughput"
-          [
-            ("protocol", Out.S name);
-            ("path", Out.S path);
-            ("n", Out.I n);
-            ("rounds_per_sec", Out.F (float_of_int rounds /. wall));
-          ]
-    | _ -> ());
-  wpr
+  (* a hit decodes with no wall time: throughput is never cached *)
+  let codec =
+    ( (fun (wpr, rounds, _) -> Printf.sprintf "%h %d" wpr rounds),
+      fun payload ->
+        match String.split_on_char ' ' payload with
+        | [ w; r ] -> (
+            try Some (float_of_string w, int_of_string r, None)
+            with _ -> None)
+        | _ -> None )
+  in
+  match
+    Bench_util.protected ~cache_key:key ~codec
+      ~label:(Printf.sprintf "%s/%s/n=%d" name path n)
+      (fun () ->
+        let words, rounds, wall = measure_runs f ~runs in
+        (words /. float_of_int (max 1 rounds), rounds, Some wall))
+  with
+  | None -> Float.nan (* quarantined: no row, the campaign exits non-zero *)
+  | Some (wpr, rounds, fresh_wall) ->
+      Out.emit ~kind:"micro"
+        [
+          ("protocol", Out.S name);
+          ("path", Out.S path);
+          ("n", Out.I n);
+          ("t", Out.I t);
+          ("runs", Out.I runs);
+          ("rounds", Out.I rounds);
+          ("words_per_round", Out.F wpr);
+        ];
+      (* throughput is a logged artifact only — machine-dependent, so it is
+         neither gated by perf_gate nor written in stable (baseline) mode *)
+      (match fresh_wall with
+      | Some wall when not (Out.is_stable ()) ->
+          Out.emit ~kind:"micro-throughput"
+            [
+              ("protocol", Out.S name);
+              ("path", Out.S path);
+              ("n", Out.I n);
+              ("rounds_per_sec", Out.F (float_of_int rounds /. wall));
+            ]
+      | _ -> ());
+      wpr
 
 let engine_case ~name ~n ~t ~runs buffered =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in

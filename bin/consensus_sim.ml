@@ -241,20 +241,13 @@ let dump_failure_trace ~protocols ~dir ~format ~tail_rounds
       Trace.File.write ~path ~format (events ());
       (Some path, Trace.Tail.lines tail)
 
-let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
+let fuzz_cmd count seed max_n protocol smoke jobs json cache no_cache
     trace_dir trace_format trace_tail =
   let protocols = fuzz_protocols protocol in
   let count = if smoke then max count 1_000_000 else count in
   let time_budget = if smoke then Some 25.0 else None in
   let jobs = if jobs <= 0 then Exec.default_jobs () else jobs in
   let format = Run_spec.Cli.format_or_die trace_format in
-  (* --json FILE: machine-readable result records in FILE, checkpoint
-     journal beside it (FILE.journal) — same layout as bench/main.exe. *)
-  let journal_path = Option.map (fun j -> j ^ ".journal") json in
-  if resume && journal_path = None then begin
-    Fmt.epr "fuzz: --resume needs --json FILE@.";
-    exit 2
-  end;
   let store = Run_spec.Cli.store_of_flags ~cache ~no_cache in
   let json_ch = Option.map (fun path -> open_out path) json in
   let emit_json fields =
@@ -264,25 +257,11 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
         output_string ch ("{" ^ String.concat "," fields ^ "}\n");
         flush ch
   in
-  let journal =
-    Option.map
-      (fun path ->
-        let j = Supervise.Journal.open_ ~path ~resume in
-        if resume then
-          Fmt.pr "fuzz: resuming — %d scenario(s) journaled%s@."
-            (Supervise.Journal.entries j)
-            (match Supervise.Journal.corrupt j with
-            | 0 -> ""
-            | c -> Fmt.str " (%d corrupt line(s) skipped)" c);
-        j)
-      journal_path
-  in
   let result =
     Harness.Fuzz.run ~protocols ~count ~seed ~max_n ?time_budget ~jobs
       ~progress:(fun m -> Fmt.pr "fuzz: %s@." m)
-      ?journal ?store ()
+      ?store ()
   in
-  Option.iter Supervise.Journal.close journal;
   (match store with
   | None -> ()
   | Some st ->
@@ -595,21 +574,11 @@ let fuzz_term =
     Arg.(
       value
       & opt (some string) None
-      & info [ "json" ]
+      & info [ "json" ] ~docv:"FILE"
           ~doc:
             "JSON-lines result sink: the final stats (kind=\"fuzz-ok\") or \
              the shrunk counterexample with its trace tail \
-             (kind=\"quarantine\") land in $(docv); the checkpoint journal \
-             behind $(b,--resume) lives beside it at $(docv).journal.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Skip scenarios already journaled by a previous (interrupted) \
-             soak with the same seed; final stats are identical to an \
-             uninterrupted run.")
+             (kind=\"quarantine\") land in $(docv).")
   in
   let cache =
     Arg.(
@@ -619,7 +588,8 @@ let fuzz_term =
             "Deduplicate clean scenarios across campaigns through the \
              content-addressed result store in $(docv): scenarios any \
              earlier soak already proved clean are folded from the store \
-             instead of re-executed.")
+             instead of re-executed, so a killed soak re-run with the same \
+             $(docv) resumes where it stopped.")
   in
   let no_cache =
     Arg.(
@@ -628,7 +598,7 @@ let fuzz_term =
   in
   Term.(
     const fuzz_cmd $ count $ seed_arg $ max_n $ protocol $ smoke $ jobs $ json
-    $ resume $ cache $ no_cache
+    $ cache $ no_cache
     $ Arg.(
         value & opt string "."
         & info [ "trace-dir" ]

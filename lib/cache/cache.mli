@@ -13,12 +13,14 @@
     <dir>/objects/<hex>    one payload file per entry
     v}
 
-    Crash safety follows the PR 3 journal discipline: the payload file
-    is written to a temporary name and renamed into place {e before}
-    its index line is appended and flushed, so a torn write leaves at
-    worst an unreachable object or a truncated index line — both
-    skipped (and counted) on the next open, costing one recompute, not
-    a crash. *)
+    Crash safety: the payload file is written to a temporary name and
+    renamed into place {e before} its index line is appended and
+    flushed, so a torn write (a campaign killed mid-add) leaves at worst
+    an unreachable object or a truncated index line — both skipped (and
+    counted) on the next open, costing one recompute, not a crash. This
+    is what makes the store the campaigns' resume mechanism: re-running
+    a killed campaign against the same directory skips everything it
+    already finished. *)
 
 val fingerprint : string
 (** Code fingerprint mixed into every digest. Bump whenever the engine
@@ -38,9 +40,9 @@ module Store : sig
   val open_ : ?fingerprint:string -> dir:string -> unit -> t
   (** Open (creating if needed) the store rooted at [dir]. The index is
       replayed; torn or corrupt lines are skipped and counted. The
-      index file stays open in append mode for the store's lifetime —
-      unlike the journal there is no truncating mode, because a cache
-      is meant to persist across runs. *)
+      index file stays open in append mode for the store's lifetime;
+      there is no truncating mode, because a cache is meant to persist
+      across runs. *)
 
   val digest_key : t -> string -> string
   (** Hex digest of [fingerprint ^ "\x00" ^ key] — the content address

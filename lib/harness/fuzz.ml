@@ -77,42 +77,16 @@ let minimise ?(max_steps = 300) ~protocols (v : Runner.violation) s =
     in index order, reproducing the serial loop's stats and
     first-violation semantics exactly. *)
 let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
-    ?time_budget ?jobs ?(progress = fun _ -> ()) ?journal ?store () :
+    ?time_budget ?jobs ?(progress = fun _ -> ()) ?store () :
     (stats, failure * stats) result =
   let stats = stats_zero () in
-  (* checkpoint/resume: each clean scenario's stats contribution is
-     journaled under a (seed, index) key; on resume those scenarios are
-     folded from the journal without re-evaluation, so the final stats are
-     identical to an uninterrupted soak. Violations are never journaled —
-     an interrupted failing run re-finds the violation on resume. *)
-  let key i = Printf.sprintf "fuzz|seed=%d|i=%d" seed i in
-  let journal_cached i =
-    match journal with
-    | None -> None
-    | Some j -> (
-        match Supervise.Journal.lookup j (key i) with
-        | None -> None
-        | Some payload -> (
-            match String.split_on_char ' ' payload with
-            | [ r; c; d ] -> (
-                try Some (int_of_string r, int_of_string c, int_of_string d)
-                with _ -> None)
-            | _ -> None))
-  in
-  let record i ~runs ~checked ~det =
-    match journal with
-    | None -> ()
-    | Some j ->
-        Supervise.Journal.record j ~key:(key i)
-          (Printf.sprintf "%d %d %d" runs checked det)
-  in
   let root = Sim.Rand.create ~seed:(Int64.of_int seed) () in
-  (* content-addressed dedup across campaigns: the journal keys on
-     (seed, index), the store keys on the scenario itself (plus the
-     protocol set and which determinism check the rotation owes this
-     index), so a repeated or reseeded soak skips every scenario any
-     earlier campaign already proved clean. Violations are never stored
-     — a failing scenario re-runs, re-shrinks and re-reports. *)
+  (* content-addressed dedup and resume: the store keys on the scenario
+     itself (plus the protocol set and which determinism check the
+     rotation owes this index), so a repeated, reseeded or interrupted
+     soak skips every scenario any earlier campaign already proved clean.
+     Violations are never stored — a failing scenario re-runs, re-shrinks
+     and re-reports. *)
   let protocols_sig =
     String.concat ","
       (List.sort compare (List.map (fun e -> e.Registry.id) protocols))
@@ -157,12 +131,11 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
                 with _ -> None)
             | _ -> None))
   in
-  let store_add i ~runs ~checked ~det =
+  let store_add i s ~runs ~checked ~det =
     match store with
     | None -> ()
     | Some st ->
-        Cache.Store.add st
-          ~key:(store_key i (scenario_of i))
+        Cache.Store.add st ~key:(store_key i s)
           (Printf.sprintf "%d %d %d" runs checked det)
   in
   let eval i =
@@ -188,19 +161,9 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
     while !i < count && not (out_of_time ()) do
       let hi = min count (!i + batch) in
       let lo = !i in
-      (* one lookup per index per batch — journal first (cheapest, no
-         disk), then the store — so the store's hit/miss stats mean what
-         they say *)
-      let pre =
-        Array.init (hi - lo) (fun k ->
-            let idx = lo + k in
-            match journal_cached idx with
-            | Some r -> Some (`Journal, r)
-            | None -> (
-                match store_cached idx with
-                | Some r -> Some (`Store, r)
-                | None -> None))
-      in
+      (* one store lookup per index, on this domain, so the store's
+         hit/miss stats are --jobs-independent *)
+      let pre = Array.init (hi - lo) (fun k -> store_cached (lo + k)) in
       let fresh =
         Array.of_list
           (List.filter
@@ -209,22 +172,16 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
       in
       let results = Exec.map ~jobs (fun k -> (k, eval k)) fresh in
       (* index the fresh results so the fold below can walk lo..hi-1 in
-         order, interleaving journaled and freshly evaluated scenarios *)
+         order, interleaving stored and freshly evaluated scenarios *)
       let tbl = Hashtbl.create (Array.length results) in
       Array.iter (fun (k, r) -> Hashtbl.add tbl k r) results;
       for idx = lo to hi - 1 do
         (match pre.(idx - lo) with
-        | Some (src, (runs, checked, det)) ->
+        | Some (runs, checked, det) ->
             stats.scenarios <- stats.scenarios + 1;
             stats.runs <- stats.runs + runs;
             stats.checked <- stats.checked + checked;
-            stats.determinism_checks <- stats.determinism_checks + det;
-            (* cross-populate so each layer ends the soak complete: a
-               journal hit seeds the store, a store hit checkpoints the
-               journal *)
-            (match src with
-            | `Journal -> store_add idx ~runs ~checked ~det
-            | `Store -> record idx ~runs ~checked ~det)
+            stats.determinism_checks <- stats.determinism_checks + det
         | None ->
             let s, (report : Runner.report), violation, det =
               Hashtbl.find tbl idx
@@ -265,8 +222,7 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
                          })
                 | None -> ()));
             let det = if det = None then 0 else 1 in
-            record idx ~runs ~checked ~det;
-            store_add idx ~runs ~checked ~det);
+            store_add idx s ~runs ~checked ~det);
         if (idx + 1) mod 50 = 0 then
           progress
             (Printf.sprintf "%d scenarios, %d protocol runs, %d checked"

@@ -1,5 +1,5 @@
 (* Run supervision and fault containment: watchdog budgets, quarantining
-   map, checkpoint journal, chaos injection. See supervise.mli. *)
+   map, chaos injection, result caching. See supervise.mli. *)
 
 module Budget = struct
   type t = {
@@ -282,84 +282,11 @@ let map ?jobs ?(budget = Budget.unlimited) ?describe f xs =
       result)
     xs
 
-let map_list ?jobs ?budget ?describe f xs =
-  Array.to_list (map ?jobs ?budget ?describe f (Array.of_list xs))
-
 let protect ?budget ?descriptor f =
   let describe =
     match descriptor with Some d -> Some (fun _ () -> d) | None -> None
   in
   (map ~jobs:1 ?budget ?describe (fun () -> f ()) [| () |]).(0)
-
-(* --- checkpoint journal --- *)
-
-module Journal = struct
-  type t = {
-    path : string;
-    tbl : (string, string) Hashtbl.t;
-    mutable ch : out_channel option;
-    mutable corrupt : int;
-  }
-
-  let well_formed s =
-    not (String.exists (fun c -> c = '\t' || c = '\n' || c = '\r') s)
-
-  let load t =
-    match open_in t.path with
-    | exception Sys_error _ -> ()
-    | ic ->
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> close_in ic
-          | line ->
-              (match String.index_opt line '\t' with
-              | Some k when k > 0 && String.index_from_opt line (k + 1) '\t' = None
-                ->
-                  Hashtbl.replace t.tbl (String.sub line 0 k)
-                    (String.sub line (k + 1) (String.length line - k - 1))
-              | _ -> if line <> "" then t.corrupt <- t.corrupt + 1);
-              go ()
-        in
-        go ()
-
-  let open_ ~path ~resume =
-    let t = { path; tbl = Hashtbl.create 256; ch = None; corrupt = 0 } in
-    if resume then load t;
-    let flags =
-      if resume then [ Open_append; Open_creat; Open_wronly ]
-      else [ Open_trunc; Open_creat; Open_wronly ]
-    in
-    t.ch <- Some (open_out_gen flags 0o644 path);
-    t
-
-  let lookup t key = Hashtbl.find_opt t.tbl key
-
-  let record t ~key payload =
-    if not (well_formed key && well_formed payload) then
-      invalid_arg "Journal.record: tabs/newlines not allowed in key or payload";
-    Hashtbl.replace t.tbl key payload;
-    match t.ch with
-    | None -> ()
-    | Some ch ->
-        output_string ch key;
-        output_char ch '\t';
-        output_string ch payload;
-        output_char ch '\n';
-        (* flush per row: a kill costs at most the row being written, and
-           the loader skips that torn line *)
-        flush ch
-
-  let entries t = Hashtbl.length t.tbl
-  let corrupt t = t.corrupt
-  let path t = t.path
-
-  let close t =
-    match t.ch with
-    | None -> ()
-    | Some ch ->
-        close_out ch;
-        t.ch <- None
-end
 
 (* --- chaos injection --- *)
 
@@ -424,14 +351,6 @@ module Chaos = struct
       let msg_bits = P.msg_bits
       let msg_hint = P.msg_hint
     end)
-
-  let corrupt_row = "\xffGARBAGE corrupted row \xfe{not json, no tab payload"
-
-  let corrupt_journal ~path =
-    let ch = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-    output_string ch corrupt_row;
-    (* no trailing newline: simulates a torn write mid-row *)
-    close_out ch
 end
 
 (* ------------------------------------------------------------------ *)
@@ -585,45 +504,35 @@ module Cached = struct
         Trace.Sink.emit sink
           (Trace.Event.Cache_hit { key = Cache.Store.digest_key st key })
 
-  (* Only successes are cached: failures and degraded runs must re-run
-     (and re-report) every time — a quarantine served from a cache would
-     hide a flaky environment. An undecodable payload (fingerprint
-     collision, hand-edited store) falls through to a fresh run. *)
-  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
-      ~inputs =
-    let fresh () =
-      run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs
-    in
+  (* The caching rule shared by [run] and [run_net]. Only successes are
+     cached: failures and degraded runs must re-run (and re-report) every
+     time — a quarantine served from a cache would hide a flaky
+     environment. An undecodable payload (fingerprint collision,
+     hand-edited store) falls through to a fresh run. *)
+  let memo ?trace store ~key (enc, dec) fresh =
     match store with
     | None -> fresh ()
     | Some st -> (
-        match Option.bind (Cache.Store.lookup st key) outcome_of_string with
-        | Some o ->
+        match Option.bind (Cache.Store.lookup st key) dec with
+        | Some v ->
             emit_hit trace st key;
-            Ok o
+            Ok v
         | None ->
             let r = fresh () in
             (match r with
-            | Ok o -> Cache.Store.add st ~key (outcome_to_string o)
+            | Ok v -> Cache.Store.add st ~key (enc v)
             | Error _ -> ());
             r)
 
+  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
+      ~inputs =
+    memo ?trace store ~key (outcome_to_string, outcome_of_string) (fun () ->
+        run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs)
+
   let run_net ?on_round ?trace ?budget ?store ~key ~net proto cfg ~adversary
       ~inputs =
-    let fresh () = run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs in
-    match store with
-    | None -> fresh ()
-    | Some st -> (
-        match Option.bind (Cache.Store.lookup st key) net_of_string with
-        | Some od ->
-            emit_hit trace st key;
-            Ok od
-        | None ->
-            let r = fresh () in
-            (match r with
-            | Ok od -> Cache.Store.add st ~key (net_to_string od)
-            | Error _ -> ());
-            r)
+    memo ?trace store ~key (net_to_string, net_of_string) (fun () ->
+        run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs)
 
   (* Cache-aware quarantining map: consult the store per element, run
      only the misses through the domain pool, merge in input order and

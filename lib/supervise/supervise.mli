@@ -14,13 +14,13 @@
       when some fail; each failure carries the exception text, backtrace,
       seed and a replay command, so sweeps degrade to partial results plus
       a quarantine report instead of aborting.
-    - {b checkpoint/resume} ({!Journal}): a crash-safe, corrupt-tolerant
-      journal of completed work keyed by (experiment, point, seed);
-      interrupted campaigns resume bit-identically because every task is a
-      pure function of its seed.
     - {b chaos mode} ({!Chaos}): seeded fault injection — exceptions,
-      artificial stragglers, corrupted journal rows — used by the test
-      suite to prove the containment claims above. *)
+      artificial stragglers, crashing protocols — used by the test suite
+      to prove the containment claims above.
+    - {b result caching} ({!Cached}): successes are memoized in a
+      content-addressed {!Cache.Store}; since every task is a pure
+      function of its key, re-running an interrupted campaign against the
+      same store skips everything it already finished. *)
 
 (** Watchdog budgets for a supervised task. *)
 module Budget : sig
@@ -169,47 +169,12 @@ val map :
     elapsed time is checked when the task returns (and, for engine tasks
     run through {!run}, at every round boundary). *)
 
-val map_list :
-  ?jobs:int ->
-  ?budget:Budget.t ->
-  ?describe:(int -> 'a -> descriptor) ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, failure) result list
-
 val protect :
   ?budget:Budget.t ->
   ?descriptor:descriptor ->
   (unit -> 'b) ->
   ('b, failure) result
 (** {!map} over a single task. *)
-
-(** Crash-safe checkpoint journal: one [key TAB payload] line per completed
-    unit of work, flushed as it is written. Payload encoding/decoding is
-    the caller's (decoders should reject truncated rows); corrupt or
-    truncated lines are skipped and counted on load, so a row the chaos
-    suite (or a mid-write kill) mangles costs exactly one recomputed task,
-    never the campaign. Duplicate keys resolve to the latest record. *)
-module Journal : sig
-  type t
-
-  val open_ : path:string -> resume:bool -> t
-  (** [resume:false] truncates any existing journal and starts fresh;
-      [resume:true] loads the surviving rows first, then appends. *)
-
-  val lookup : t -> string -> string option
-  val record : t -> key:string -> string -> unit
-  (** Appends and flushes. Raises [Invalid_argument] if key or payload
-      contain tabs or newlines. *)
-
-  val entries : t -> int
-
-  val corrupt : t -> int
-  (** Corrupt lines skipped on load. *)
-
-  val path : t -> string
-  val close : t -> unit
-end
 
 (** Seeded fault injection, for proving the supervision layer contains
     what it claims to contain. *)
@@ -245,12 +210,6 @@ module Chaos : sig
   (** Wrap a protocol so that [step_into] raises {!Injected} at [crash_round]
       (for process [pid] only, if given) — a pathological protocol bug on
       demand, used to test {!run}'s containment. *)
-
-  val corrupt_row : string
-  (** A line guaranteed to parse as neither a journal row nor JSON. *)
-
-  val corrupt_journal : path:string -> unit
-  (** Append {!corrupt_row} to a journal file — simulates a torn write. *)
 end
 
 module Cached : sig
@@ -313,6 +272,9 @@ module Cached : sig
     ('b, failure) result array
   (** Cache-aware {!map}: each element is looked up first; only misses
       are dispatched to the domain pool; fresh successes are written
-      back. Results land in input order, and [describe] sees original
-      indices, so the quarantine/replay contract is unchanged. *)
+      back once the pool returns. Results land in input order, and
+      [describe] sees original indices, so the quarantine/replay contract
+      is unchanged. A campaign killed mid-batch loses that batch's fresh
+      results; re-running it against the same store serves every earlier
+      batch from the cache. *)
 end

@@ -440,36 +440,51 @@ let test_cache_hit_event_codec () =
 (* --- fuzz store dedup --- *)
 
 let test_fuzz_store_dedup () =
+  let run ~count s =
+    match Harness.Fuzz.run ~count ~seed:11 ~jobs:1 ~store:s () with
+    | Ok stats -> stats
+    | Error (f, _) ->
+        Alcotest.failf "fuzz found a violation: %a" Harness.Fuzz.pp_failure f
+  in
+  (* dedup is invisible in the reported stats *)
+  let same_stats what (a : Harness.Fuzz.stats) (b : Harness.Fuzz.stats) =
+    Alcotest.(check int) (what ^ ": scenarios") a.scenarios b.scenarios;
+    Alcotest.(check int) (what ^ ": runs") a.runs b.runs;
+    Alcotest.(check int) (what ^ ": checked") a.checked b.checked;
+    Alcotest.(check int)
+      (what ^ ": determinism checks")
+      a.determinism_checks b.determinism_checks
+  in
+  let first =
+    with_store (fun _dir open_ ->
+        let s = open_ () in
+        let first = run ~count:12 s in
+        (* Stats is the store's live mutable record — copy the counters *)
+        let h1 = (Cache.Store.stats s).Cache.Stats.hits
+        and w1 = (Cache.Store.stats s).Cache.Stats.writes in
+        Alcotest.(check int) "first pass all misses" 0 h1;
+        Alcotest.(check int) "every scenario stored" 12 w1;
+        let second = run ~count:12 s in
+        Alcotest.(check int) "second pass all hits" 12
+          ((Cache.Store.stats s).Cache.Stats.hits - h1);
+        Alcotest.(check int) "no new writes" w1
+          (Cache.Store.stats s).Cache.Stats.writes;
+        same_stats "repeat" first second;
+        Cache.Store.close s;
+        first)
+  in
+  (* an interrupted soak: half the scenarios reach the store, then the
+     full soak is re-run against the same directory and resumes *)
   with_store (fun _dir open_ ->
       let s = open_ () in
-      let run () =
-        match Harness.Fuzz.run ~count:12 ~seed:11 ~jobs:1 ~store:s () with
-        | Ok stats -> stats
-        | Error (f, _) ->
-            Alcotest.failf "fuzz found a violation: %a" Harness.Fuzz.pp_failure
-              f
-      in
-      let first = run () in
-      (* Stats is the store's live mutable record — copy the counters *)
-      let h1 = (Cache.Store.stats s).Cache.Stats.hits
-      and w1 = (Cache.Store.stats s).Cache.Stats.writes in
-      Alcotest.(check int) "first pass all misses" 0 h1;
-      Alcotest.(check int) "every scenario stored" 12 w1;
-      let second = run () in
-      Alcotest.(check int) "second pass all hits" 12
-        ((Cache.Store.stats s).Cache.Stats.hits - h1);
-      Alcotest.(check int) "no new writes" w1
-        (Cache.Store.stats s).Cache.Stats.writes;
-      (* dedup is invisible in the reported stats *)
-      Alcotest.(check int) "scenarios" first.Harness.Fuzz.scenarios
-        second.Harness.Fuzz.scenarios;
-      Alcotest.(check int) "runs" first.Harness.Fuzz.runs
-        second.Harness.Fuzz.runs;
-      Alcotest.(check int) "checked" first.Harness.Fuzz.checked
-        second.Harness.Fuzz.checked;
-      Alcotest.(check int) "determinism checks"
-        first.Harness.Fuzz.determinism_checks
-        second.Harness.Fuzz.determinism_checks;
+      ignore (run ~count:6 s : Harness.Fuzz.stats);
+      Cache.Store.close s;
+      let s = open_ () in
+      let resumed = run ~count:12 s in
+      let st = Cache.Store.stats s in
+      Alcotest.(check int) "resume: finished half hits" 6 st.Cache.Stats.hits;
+      Alcotest.(check int) "resume: rest misses" 6 st.Cache.Stats.misses;
+      same_stats "resume" first resumed;
       Cache.Store.close s)
 
 let suite =
