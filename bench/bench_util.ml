@@ -48,26 +48,12 @@ module Out = struct
 
   let elapsed () = Unix.gettimeofday () -. !started
 
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let rec jv_to_string = function
     | I i -> string_of_int i
     | F f ->
         (* JSON has no inf/nan literals *)
         if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-    | S s -> Printf.sprintf "\"%s\"" (escape s)
+    | S s -> Printf.sprintf "\"%s\"" (Supervise.json_escape s)
     | B b -> string_of_bool b
     | L l -> "[" ^ String.concat "," (List.map jv_to_string l) ^ "]"
     | Raw s -> s
@@ -84,13 +70,15 @@ module Out = struct
         Buffer.add_string b
           (Printf.sprintf
              "{\"experiment\":\"%s\",\"kind\":\"%s\",\"schema_version\":%d"
-             (escape !experiment) (escape kind) schema_version);
+             (Supervise.json_escape !experiment)
+             (Supervise.json_escape kind) schema_version);
         if not !stable then
           Buffer.add_string b (Printf.sprintf ",\"wall_s\":%.3f" (elapsed ()));
         List.iter
           (fun (k, v) ->
             Buffer.add_string b
-              (Printf.sprintf ",\"%s\":%s" (escape k) (jv_to_string v)))
+              (Printf.sprintf ",\"%s\":%s" (Supervise.json_escape k)
+                 (jv_to_string v)))
           fields;
         Buffer.add_string b "}\n";
         output_string ch (Buffer.contents b);
@@ -113,7 +101,7 @@ let budget = ref Supervise.Budget.unlimited
 
 (* ------------------------------------------------------------------ *)
 (* Tracing configuration (wired from --trace / --trace-dir /           *)
-(* --trace-format / --trace-tail on bench/main.exe).                    *)
+(* --trace-tail on bench/main.exe).                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* --trace: collect Trace.Metrics per run and tee kind="trace-metrics"
@@ -127,9 +115,6 @@ let trace_tail_rounds = ref 0
 
 (* --trace-dir DIR: write each run's full event trace to a file in DIR *)
 let trace_dir : string option ref = ref None
-
-(* --trace-format *)
-let trace_format = ref Trace.Jsonl
 
 let tracing_on () =
   !trace_metrics || !trace_tail_rounds > 0 || !trace_dir <> None
@@ -184,8 +169,8 @@ let trace_file_path () =
       in
       Some
         (Filename.concat dir
-           (Printf.sprintf "%s.%s.%d.trace.%s" !Out.experiment sanitized seq
-              (Trace.format_extension !trace_format)))
+           (Printf.sprintf "%s.%s.%d.trace.jsonl" !Out.experiment sanitized
+              seq))
 
 (* the content-addressed run cache behind --cache, or None when off. It
    is the campaign's only memo table: every sweep task is a pure function
@@ -353,7 +338,7 @@ let measure ?on_round proto cfg ~adversary ~inputs =
   let file_sink =
     match trace_file_path () with
     | None -> None
-    | Some path -> Some (Trace.Sink.file ~path ~format:!trace_format)
+    | Some path -> Some (Trace.Sink.file ~path)
   in
   let sinks =
     List.filter_map Fun.id

@@ -185,7 +185,7 @@ let () =
     | _ ->
         fail
           "flood n=1024: missing fast or classic scale-throughput row (run \
-           the scale experiment with --scale-path both)"
+           the scale experiment without --stable-json)"
   end;
   if !failures > 0 then begin
     Printf.printf "perf gate: %d failure(s)\n" !failures;

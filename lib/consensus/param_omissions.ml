@@ -201,7 +201,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
       | None -> ());
       st.consensus_decision <- None
 
-    (* Truncated sub-run finalize (the paper's "terminated at line 16"):
+    (* Finalize of a truncated sub-run (the paper's "terminated at line 16"):
        keep the value only if the sub-run actually produced a decision. *)
     let finalize_sub st ~iter =
       Core.finalize_into st.core ~iter:(sub_iter ~phase:st.my_phase iter);

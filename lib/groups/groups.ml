@@ -67,7 +67,7 @@ let group t g = t.groups.(g)
 let group_count t = t.group_count
 
 (* ------------------------------------------------------------------ *)
-(* Binary-tree bag decomposition within a group                        *)
+(* Bag decomposition along a binary tree within a group               *)
 (* ------------------------------------------------------------------ *)
 
 (** Layers are 1-based: layer 1 holds [size] singleton bags; bag [k] of

@@ -32,7 +32,7 @@ val rank_of : t -> int -> int
 val group : t -> int -> int array
 val group_count : t -> int
 
-(** {1 Binary-tree bags}
+(** {1 Bags of a binary tree}
 
     Layers are 1-based. Layer 1 holds singleton bags in rank order; bag [k]
     of layer [j] is the union of bags [2k] and [2k+1] of layer [j-1]; the

@@ -32,18 +32,13 @@ val config_for : Registry.entry -> Scenario.t -> Sim.Config.t
     to the entry's tolerance, the entry's schedule bound as [max_rounds]. *)
 
 val run_entry :
-  ?trace:Trace.Sink.t ->
-  ?net:Net.Spec.t ->
-  Registry.entry ->
-  Scenario.t ->
-  run_result
-(** Run one protocol on a scenario. [trace], if given, receives the run's
-    engine event stream (see {!Sim.Engine.run}). [net], if given, runs the
-    scenario over a lossy-link transport (a fresh [Net.Transport] per call;
-    residual losses are not model-checked here — use [Supervise.run_net]
-    for the degradation report). The protocol is built through
-    {!Registry.build}, so a wrapped [entry.buffered] constructor is
-    honoured. *)
+  ?trace:Trace.Sink.t -> Registry.entry -> Scenario.t -> run_result
+(** Run one protocol on a scenario over the engine's perfect links. [trace],
+    if given, receives the run's engine event stream (see
+    {!Sim.Engine.run}). Lossy-link runs go through [Run_spec.execute],
+    whose [Net.Degradation] report re-bases agreement on the induced
+    faults. The protocol is built through {!Registry.build}, so a wrapped
+    [entry.buffered] constructor is honoured. *)
 
 val run :
   ?protocols:Registry.entry list ->

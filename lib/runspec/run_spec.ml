@@ -244,13 +244,6 @@ module Cli = struct
         Fmt.epr "%s@." m;
         Stdlib.exit 2
 
-  let format_or_die s =
-    match Trace.format_of_string s with
-    | Some f -> f
-    | None ->
-        Fmt.epr "--trace-format must be jsonl or binary, not %S@." s;
-        Stdlib.exit 2
-
   let store_of_flags ~cache ~no_cache =
     if no_cache || cache = "" then None
     else Some (Cache.Store.open_ ~dir:cache ())

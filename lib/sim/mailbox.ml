@@ -487,25 +487,3 @@ let is_sorted_by_peer t =
     if t.peers.(i - 1) > t.peers.(i) then ok := false
   done;
   !ok
-
-(** Stable in-place insertion sort by ascending [peer] — the monomorphic
-    replacement for the engine's old [List.sort (fun (a,_) (b,_) ->
-    compare a b)]: same ascending-peer order, equal peers keep their
-    relative slot order (duplicates preserved). Runs in O(len) when the
-    buffer is already sorted, which is the engine's steady state.
-    Pointwise slots only. *)
-let sort_by_peer t =
-  for i = 1 to t.len - 1 do
-    let p = t.peers.(i) in
-    if t.peers.(i - 1) > p then begin
-      let m = t.msgs.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && t.peers.(!j) > p do
-        t.peers.(!j + 1) <- t.peers.(!j);
-        t.msgs.(!j + 1) <- t.msgs.(!j);
-        decr j
-      done;
-      t.peers.(!j + 1) <- p;
-      t.msgs.(!j + 1) <- m
-    end
-  done

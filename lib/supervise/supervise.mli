@@ -101,6 +101,11 @@ val current_label : unit -> string option
 val pp_failure_kind : Format.formatter -> failure_kind -> unit
 val pp_failure : Format.formatter -> failure -> unit
 
+val json_escape : string -> string
+(** Escape a string for use inside a JSON string literal: quote,
+    backslash, newline and other control characters. The one escaper
+    behind every JSON line this repository writes. *)
+
 val failure_json : failure -> string
 (** The quarantine record as a single JSON-lines object (no trailing
     newline). Schema: [{"kind":"quarantine","index":i,"label":s,

@@ -5,7 +5,8 @@
     is both the measurement instrument and the debugging tool: every send,
     delivery, omission, corruption, coin draw, state-phase transition and
     decision the engine executes can be emitted as a typed event into a
-    pluggable {!Sink}.
+    pluggable {!Sink}. The one on-disk encoding is JSONL: one flat
+    {!Event.to_json} object per line.
 
     Design constraints:
     - {b zero cost when off}: the engine takes an [option]al sink and
@@ -17,15 +18,6 @@
     - {b bounded capture}: {!Ring} / {!Tail} keep the last K rounds in a
       preallocated buffer, cheap enough to leave on for every supervised
       run so quarantine records ship with their trace tail. *)
-
-(** Serialization format of a trace file. *)
-type format = Jsonl | Binary
-
-val format_of_string : string -> format option
-val format_to_string : format -> string
-
-val format_extension : format -> string
-(** ["jsonl"] or ["bin"]. *)
 
 module Event : sig
   (** One engine event. [round] is 1-based; counters in [Round_end] are the
@@ -81,15 +73,6 @@ module Event : sig
 
   val of_json : string -> t option
   (** Parses exactly the lines {!to_json} writes. *)
-
-  val to_binary : Buffer.t -> t -> unit
-  (** Append the compact binary encoding (tag byte + LEB128 varints). *)
-
-  exception Truncated
-
-  val of_binary : string -> int ref -> t
-  (** Decode one event at [!pos], advancing it. Raises {!Truncated} on a
-      short read and [Failure] on an unknown tag. *)
 end
 
 (** A pluggable event consumer. *)
@@ -111,13 +94,8 @@ module Sink : sig
   (** One JSON object per line; [close] flushes but does not close the
       channel. *)
 
-  val binary : out_channel -> t
-  (** Compact binary codec for soak runs (writes the magic header, buffers
-      ~64 KiB between writes); [close] flushes but does not close the
-      channel. *)
-
-  val file : path:string -> format:format -> t
-  (** Opens [path], writes in [format]; [close] closes the file. *)
+  val file : path:string -> t
+  (** Opens [path] and writes JSONL ({!jsonl}); [close] closes the file. *)
 end
 
 (** Preallocated event ring: O(1) add, keeps the newest [capacity] events,
@@ -199,15 +177,15 @@ module Metrics : sig
   val pp_summary : Format.formatter -> summary -> unit
 end
 
-(** Whole-trace files. *)
+(** Whole-trace files, one {!Event.to_json} line per event. *)
 module File : sig
   exception Corrupt of string
 
-  val write : path:string -> format:format -> Event.t list -> unit
+  val write : path:string -> Event.t list -> unit
 
   val read : string -> Event.t list
-  (** Auto-detects the format (binary magic vs JSONL). Raises {!Corrupt} on
-      undecodable content. *)
+  (** Parses a JSONL trace, skipping blank lines. Raises {!Corrupt} on any
+      line {!Event.of_json} rejects. *)
 end
 
 (** First-diverging-event comparison — the debuggable form of the test

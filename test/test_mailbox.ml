@@ -1,15 +1,14 @@
 (* Property tests for the engine's flat message buffer (Sim.Mailbox):
    insertion order through growth, reset-by-count reuse never leaking
-   stale entries, the monomorphic stable sort agreeing with the
-   [List.sort] ordering the original list-based engine used, and the
-   protocols' mailbox-native filtered iteration agreeing with
-   [List.filter_map] over the materialized contents. *)
+   stale entries, the engine's sortedness check agreeing with the list
+   order, and the protocols' mailbox-native filtered iteration agreeing
+   with [List.filter_map] over the materialized contents. *)
 
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xb0f |]) t
 
 (* A mailbox load: list of (peer, msg) pushes. Peers from a small range so
-   duplicates (the stability-sensitive case) are common. *)
+   duplicate peers are common. *)
 let load =
   QCheck.(small_list (pair (int_range 0 7) small_int))
 
@@ -54,18 +53,6 @@ let qcheck_reuse =
        && Sim.Mailbox.fold mb ~init:0 (fun acc _ _ -> acc + 1)
           = List.length second))
 
-let qcheck_sort =
-  QCheck.Test.make
-    ~name:"sort_by_peer = stable List.sort by peer (duplicates kept)"
-    ~count:500 load (fun pushes ->
-      let mb = Sim.Mailbox.create () in
-      fill mb pushes;
-      Sim.Mailbox.sort_by_peer mb;
-      let expected =
-        List.stable_sort (fun (a, _) (b, _) -> compare a b) pushes
-      in
-      Sim.Mailbox.to_list mb = expected)
-
 let qcheck_sorted_flag =
   QCheck.Test.make ~name:"is_sorted_by_peer agrees with the list order"
     ~count:300 load (fun pushes ->
@@ -75,12 +62,7 @@ let qcheck_sorted_flag =
         | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
         | _ -> true
       in
-      let before =
-        Sim.Mailbox.is_sorted_by_peer mb
-        = non_decreasing (List.map fst pushes)
-      in
-      Sim.Mailbox.sort_by_peer mb;
-      before && Sim.Mailbox.is_sorted_by_peer mb)
+      Sim.Mailbox.is_sorted_by_peer mb = non_decreasing (List.map fst pushes))
 
 (* The buffered protocols filter their whole-inbox iterator during
    iteration (pk_iter / sub_iter-style views) instead of materializing a
@@ -301,7 +283,6 @@ let suite =
     qcheck qcheck_order;
     qcheck qcheck_growth;
     qcheck qcheck_reuse;
-    qcheck qcheck_sort;
     qcheck qcheck_sorted_flag;
     qcheck qcheck_filter_equiv;
     qcheck qcheck_filter_reuse;
