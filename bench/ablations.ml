@@ -53,16 +53,15 @@ let abl_delta ~quick () =
             with _ -> None)
         | _ -> None )
   in
-  Supervise.Cached.map ~budget:!budget
+  Supervise.map ~budget:!budget
     ~describe:(fun _ c ->
       {
         Supervise.d_label = Printf.sprintf "abl-delta/c=%d" c;
         d_seed = Some 1;
         d_replay = Some "dune exec bench/main.exe -- --only abl-delta";
       })
-    ?store:!store
-    ~key:(fun c -> Printf.sprintf "abl-delta|n=%d|c=%d" n c)
-    ~codec
+    ?cache:
+      (cache ~key:(fun c -> Printf.sprintf "abl-delta|n=%d|c=%d" n c) codec)
     (fun c ->
       let params = { Consensus.Params.default with Consensus.Params.delta_c = c } in
       let m, min_ops =
@@ -108,16 +107,15 @@ let abl_spread ~quick () =
             with _ -> None)
         | _ -> None )
   in
-  Supervise.Cached.map ~budget:!budget
+  Supervise.map ~budget:!budget
     ~describe:(fun _ c ->
       {
         Supervise.d_label = Printf.sprintf "abl-spread/c=%d" c;
         d_seed = Some 1;
         d_replay = Some "dune exec bench/main.exe -- --only abl-spread";
       })
-    ?store:!store
-    ~key:(fun c -> Printf.sprintf "abl-spread|n=%d|c=%d" n c)
-    ~codec
+    ?cache:
+      (cache ~key:(fun c -> Printf.sprintf "abl-spread|n=%d|c=%d" n c) codec)
     (fun c ->
       let params = { Consensus.Params.default with Consensus.Params.spread_c = c } in
       let m, min_ops =

@@ -116,9 +116,6 @@ let trace_tail_rounds = ref 0
 (* --trace-dir DIR: write each run's full event trace to a file in DIR *)
 let trace_dir : string option ref = ref None
 
-let tracing_on () =
-  !trace_metrics || !trace_tail_rounds > 0 || !trace_dir <> None
-
 (* --net SPEC: base lossy-link transport spec for the kind="net"
    experiment (the sweep still varies the drop rate around it) *)
 let net_base : Net.Spec.t option ref = ref None
@@ -186,6 +183,10 @@ let enable_cache ~dir =
     | 0 -> ""
     | c -> Printf.sprintf " (%d corrupt index lines skipped)" c);
   store := Some s
+
+(* The [cache] argument of Supervise.map for a task family keyed by [key]
+   and encoded by [codec]; None when the cache is off. *)
+let cache ~key codec = Option.map (fun st -> (st, key, codec)) !store
 
 let close_cache () =
   match !store with
@@ -318,58 +319,31 @@ exception Violation of string
    campaign — but it is always reported, never averaged over. *)
 
 let measure ?on_round proto cfg ~adversary ~inputs =
-  (* Assemble the run's trace sinks. All stay [None]/empty unless a trace
-     flag is set, keeping the default path identical to the untraced one. *)
-  let tail =
-    if !trace_tail_rounds > 0 then
-      Some (Trace.Tail.create ~rounds:!trace_tail_rounds ())
-    else None
+  (* All observers stay off unless a trace flag is set, keeping the default
+     path identical to the untraced one. Under --stable-json the collector
+     gets a constant clock: per-round wall_s stays 0 and two stable traced
+     runs are byte-identical. *)
+  let obs =
+    Trace.Observers.create ~tail:!trace_tail_rounds ~metrics:!trace_metrics
+      ?clock:(if Out.is_stable () then Some (fun () -> 0.) else None)
+      ?file:(trace_file_path ()) ()
   in
-  let collector =
-    (* under --stable-json the collector gets a constant clock: per-round
-       wall_s stays 0 and two stable traced runs are byte-identical — the
-       default gettimeofday clock is unreachable in stable mode *)
-    if !trace_metrics then
-      if Out.is_stable () then
-        Some (Trace.Metrics.collector ~clock:(fun () -> 0.) ())
-      else Some (Trace.Metrics.collector ())
-    else None
-  in
-  let file_sink =
-    match trace_file_path () with
-    | None -> None
-    | Some path -> Some (Trace.Sink.file ~path)
-  in
-  let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map Trace.Tail.sink tail;
-        Option.map fst collector;
-        file_sink;
-      ]
-  in
-  let trace = match sinks with [] -> None | l -> Some (Trace.Sink.tee_all l) in
-  let close_file () = Option.iter Trace.Sink.close file_sink in
-  (* A failing run re-raises with the tail attached, so the quarantine
-     record ships with the last rounds of events. *)
-  let fail kind =
-    close_file ();
-    match tail with
-    | Some t -> raise (Supervise.Breach_traced (kind, Trace.Tail.lines t))
-    | None -> raise (Supervise.Breach kind)
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Trace.Observers.close obs)
+      (fun () ->
+        Supervise.run ?on_round ?trace:(Trace.Observers.sink obs)
+          ~budget:!budget proto cfg ~adversary ~inputs)
   in
   let o =
-    match
-      Supervise.run ?on_round ?trace ~budget:!budget proto cfg ~adversary
-        ~inputs
-    with
-    | Ok o ->
-        close_file ();
-        o
-    | Error (kind, _partial) -> fail kind
-    | exception e ->
-        close_file ();
-        raise e
+    match result with
+    | Ok (o, _) -> o
+    | Error (kind, _partial) -> (
+        (* a failing run re-raises with the tail attached, so the
+           quarantine record ships with the last rounds of events *)
+        match Trace.Observers.tail_lines obs with
+        | Some lines -> raise (Supervise.Breach_traced (kind, lines))
+        | None -> raise (Supervise.Breach kind))
   in
   (* Disagreement between processes that did decide is a protocol bug; it
      becomes a quarantined failure under Supervise.map. A run that merely
@@ -390,13 +364,13 @@ let measure ?on_round proto cfg ~adversary ~inputs =
   let violation msg =
     (* keep the plain Violation when no tail is kept, so untraced campaigns
        quarantine exactly as before; with a tail, ship it along *)
-    match tail with
-    | Some t ->
+    match Trace.Observers.tail_lines obs with
+    | Some lines ->
         raise
           (Supervise.Breach_traced
              ( Supervise.Crashed
                  { exn_text = "Violation: " ^ msg; backtrace = "" },
-               Trace.Tail.lines t ))
+               lines ))
     | None -> raise (Violation msg)
   in
   if disagreement then
@@ -414,7 +388,7 @@ let measure ?on_round proto cfg ~adversary ~inputs =
     rand_calls = o.rand_calls;
     rand_bits = o.rand_bits;
     faults = o.faults_used;
-    metrics = Option.map (fun (_, summary) -> summary ()) collector;
+    metrics = Trace.Observers.summary obs;
   }
 
 (* cache codec for run_measure; the decoder rejects malformed payloads *)
@@ -583,16 +557,12 @@ let sweep ?codec ?replay ~point ~params ~seeds f =
                  !Out.experiment));
     }
   in
-  let f (p, s) = f p s in
+  let key (p, s) = Printf.sprintf "%s|%s|seed=%d" !Out.experiment (point p) s in
   let results =
-    match codec with
-    | None -> Supervise.map ~budget:!budget ~describe f tasks
-    | Some codec ->
-        let key (p, s) =
-          Printf.sprintf "%s|%s|seed=%d" !Out.experiment (point p) s
-        in
-        Supervise.Cached.map ~budget:!budget ~describe ?store:!store ~key
-          ~codec f tasks
+    Supervise.map ~budget:!budget ~describe
+      ?cache:(Option.bind codec (cache ~key))
+      (fun (p, s) -> f p s)
+      tasks
   in
   (* quarantine failures in task order, then regroup successes per param *)
   Array.iter
@@ -623,17 +593,15 @@ let protected ?cache_key ?codec ~label f =
              !Out.experiment);
     }
   in
-  let result =
-    match (cache_key, codec) with
-    | Some k, Some codec ->
-        (Supervise.Cached.map ~jobs:1 ~budget:!budget
-           ~describe:(fun _ () -> descriptor)
-           ?store:!store
-           ~key:(fun () -> k)
-           ~codec f [| () |]).(0)
-    | _ -> Supervise.protect ~budget:!budget ~descriptor f
-  in
-  match result with
+  match
+    (Supervise.map ~jobs:1 ~budget:!budget
+       ~describe:(fun _ () -> descriptor)
+       ?cache:
+         (match (cache_key, codec) with
+         | Some k, Some codec -> cache ~key:(fun () -> k) codec
+         | _ -> None)
+       f [| () |]).(0)
+  with
   | Ok v -> Some v
   | Error fl ->
       quarantine fl;

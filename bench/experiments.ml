@@ -246,12 +246,13 @@ let t1_abraham ~quick () =
   (* mapped over indices (not the thunks) so the cache key can name the
      protocol; the message count is a pure function of (label, n) *)
   let msgs =
-    Supervise.Cached.map ~budget:!budget
+    Supervise.map ~budget:!budget
       ~describe:(fun i _ ->
         { Supervise.d_label = labels.(i); d_seed = Some 1; d_replay = None })
-      ?store:!store
-      ~key:(fun i -> Printf.sprintf "t1-abraham|%s|n=%d" labels.(i) n)
-      ~codec:(string_of_int, int_of_string_opt)
+      ?cache:
+        (cache
+           ~key:(fun i -> Printf.sprintf "t1-abraham|%s|n=%d" labels.(i) n)
+           (string_of_int, int_of_string_opt))
       (fun i -> tasks.(i) ())
       (Array.init (Array.length tasks) Fun.id)
   in
@@ -412,7 +413,7 @@ let b3 ~quick () =
   row "%6s %5s %14s %14s %13s %13s %7s\n" "n" "t" "om total" "cr total"
     "om dissem" "cr dissem" "ratio";
   let results =
-    Supervise.Cached.map ~budget:!budget
+    Supervise.map ~budget:!budget
       ~describe:(fun _ n ->
         {
           Supervise.d_label = Printf.sprintf "b3/n=%d" n;
@@ -420,9 +421,7 @@ let b3 ~quick () =
           d_replay =
             Some "dune exec bench/main.exe -- --only b3";
         })
-      ?store:!store
-      ~key:(fun n -> Printf.sprintf "b3|n=%d" n)
-      ~codec:b3_codec
+      ?cache:(cache ~key:(fun n -> Printf.sprintf "b3|n=%d" n) b3_codec)
       (fun n ->
         let t = max 1 (n / 31) in
         let seed = 1 in

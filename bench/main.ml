@@ -6,7 +6,6 @@
      dune exec bench/main.exe                 # all experiments, default sizes
      dune exec bench/main.exe -- --quick      # smaller sweeps (CI)
      dune exec bench/main.exe -- --only t1-thm1,f3
-     dune exec bench/main.exe -- --micro      # also run bechamel benches
      dune exec bench/main.exe -- --jobs 4     # domain-pool width (results
                                               # are identical at any width)
      dune exec bench/main.exe -- --json out.json  # JSON-lines sink
@@ -59,7 +58,6 @@ let experiments =
 
 let () =
   let quick = ref false in
-  let micro = ref None in
   let only = ref [] in
   let jobs = ref 0 in
   let seeds = ref 0 in
@@ -74,19 +72,12 @@ let () =
   let trace_tail = ref 0 in
   let net_spec = ref "" in
   let cache = ref "" in
-  let no_cache = ref false in
   let spec =
     [
       ("--quick", Arg.Set quick, "smaller sweeps");
       ( "--only",
         Arg.String (fun s -> only := String.split_on_char ',' s),
         "comma-separated experiment ids" );
-      ( "--micro",
-        Arg.Unit (fun () -> micro := Some true),
-        "also run bechamel micro-benchmarks" );
-      ( "--no-micro",
-        Arg.Unit (fun () -> micro := Some false),
-        "skip bechamel micro-benchmarks" );
       ( "--jobs",
         Arg.Set_int jobs,
         "N  domains in the executor pool (default: recommended count; 1 = \
@@ -138,18 +129,15 @@ let () =
          served from it (kind=\"cache\" rows report hits/misses/writes), \
          fresh results are written back; re-running a killed campaign with \
          the same DIR skips everything it already finished" );
-      ( "--no-cache",
-        Arg.Set no_cache,
-        "ignore --cache for this campaign (every run executes)" );
     ]
   in
   Arg.parse spec
     (fun _ -> ())
-    "bench/main.exe [--quick] [--only ids] [--micro] [--jobs N] [--seeds N]\n\
+    "bench/main.exe [--quick] [--only ids] [--jobs N] [--seeds N]\n\
     \                [--json FILE] [--stable-json] [--wall-budget S]\n\
     \                [--round-budget N] [--msg-budget N] [--rand-budget N]\n\
     \                [--trace] [--trace-dir DIR] [--trace-tail K]\n\
-    \                [--cache DIR] [--no-cache]";
+    \                [--cache DIR]";
   Exec.set_default_jobs !jobs;
   Bench_util.Out.set_stable !stable;
   Bench_util.seeds_override := (if !seeds <= 0 then None else Some !seeds);
@@ -162,7 +150,7 @@ let () =
     Bench_util.trace_dir := Some !trace_dir
   end;
   Bench_util.Out.set_path (if !json = "" then None else Some !json);
-  if (not !no_cache) && !cache <> "" then Bench_util.enable_cache ~dir:!cache;
+  if !cache <> "" then Bench_util.enable_cache ~dir:!cache;
   Bench_util.budget :=
     Run_spec.Cli.budget_of_flags
       {
@@ -206,14 +194,6 @@ let () =
           ("jobs", Bench_util.Out.I (Exec.default_jobs ()));
         ])
     selected;
-  (* bechamel micro-benches default off under --cache: they measure this
-     machine's timings, which no cache can serve — --micro re-enables. *)
-  let run_micro =
-    match !micro with
-    | Some b -> b
-    | None -> !only = [] && Option.is_none !Bench_util.store
-  in
-  if run_micro then Micro.benchmark ();
   (match !Bench_util.store with
   | None -> ()
   | Some s ->

@@ -1,75 +1,3 @@
-(* Bechamel micro-benchmarks: one Test.make per Table-1 experiment (a
-   scaled-down instance of each), plus the substrate hot paths. *)
-
-open Bechamel
-open Toolkit
-
-let run_protocol make_proto ~n ~t ~adversary () =
-  let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
-  let proto = make_proto cfg in
-  let inputs = Array.init n (fun i -> i mod 2) in
-  let o = Sim.Engine.run proto cfg ~adversary ~inputs in
-  assert (Sim.Engine.agreed_decision o <> None)
-
-let test_thm1 =
-  Test.make ~name:"T1-thm1: optimal-omissions n=36"
-    (Staged.stage
-       (run_protocol
-          (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg)
-          ~n:36 ~t:1
-          ~adversary:(Adversary.vote_splitter ())))
-
-let test_thm3 =
-  Test.make ~name:"T1-thm3: param-omissions n=36 x=4"
-    (Staged.stage (fun () ->
-         let n = 36 in
-         let cfg0 = Sim.Config.make ~n ~t_max:1 ~seed:1 () in
-         let max_rounds =
-           Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5
-         in
-         let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds () in
-         let proto = Consensus.Param_omissions.protocol_buffered ~x:4 cfg in
-         let inputs = Array.init n (fun i -> i mod 2) in
-         let o =
-           Sim.Engine.run proto cfg ~adversary:Sim.Adversary_intf.none ~inputs
-         in
-         assert (Sim.Engine.agreed_decision o <> None)))
-
-let test_bjbo =
-  Test.make ~name:"T1-bjbo: biased-majority n=64"
-    (Staged.stage
-       (run_protocol
-          (fun cfg -> Consensus.Bjbo.protocol_buffered cfg)
-          ~n:64 ~t:8
-          ~adversary:(Adversary.vote_splitter ())))
-
-let test_abraham =
-  Test.make ~name:"T1-abraham: flood-min n=64"
-    (Staged.stage
-       (run_protocol
-          Consensus.Flood.protocol_buffered
-          ~n:64 ~t:8
-          ~adversary:(Adversary.staggered_crash ~per_round:2)))
-
-let test_thm2 =
-  Test.make ~name:"T1-thm2: product experiment n=64"
-    (Staged.stage (fun () ->
-         let r = Lowerbound.Product.run ~seed:1 ~n:64 ~t:16 ~coin_set:8 () in
-         assert r.Lowerbound.Product.decided))
-
-let test_coin_game =
-  Test.make ~name:"L12: coin game k=1024"
-    (Staged.stage (fun () ->
-         let rand = Sim.Rand.create ~seed:1L () in
-         ignore (Lowerbound.Coin_game.imbalance rand ~k:1024)))
-
-let test_expander =
-  Test.make ~name:"G4: expander sample+prune n=256"
-    (Staged.stage (fun () ->
-         let g = Expander.sample ~n:256 ~delta:64 ~seed:9L in
-         let removed = Array.init 256 (fun v -> v < 17) in
-         ignore (Expander.prune g ~removed ~min_deg:21)))
-
 (* ------------------------------------------------------------------ *)
 (* Engine allocation microbenchmark (the "micro-engine" experiment),    *)
 (* covering the full protocol registry on a reusable engine instance   *)
@@ -84,13 +12,17 @@ let test_expander =
 
 module Out = Bench_util.Out
 
-(* [Gc.minor_words] reads the allocation pointer directly, so it is exact
-   even when no minor collection has run inside the measurement window —
-   [quick_stat.minor_words] is only updated at collections and can lag by
-   a whole minor heap. *)
+(* Words the calling domain has allocated so far, on both heaps, exact at
+   any point of a GC cycle. [Gc.minor_words] reads the allocation pointer
+   directly. [Gc.counters] reads this domain's own promoted and major
+   counts, and its major count already includes direct major allocations
+   that no major slice has folded in yet. [Gc.quick_stat] would not do:
+   its major count lags until the next slice by an amount that depends on
+   the heap state earlier work left behind, so the same case read
+   differently after different experiments. *)
 let words_allocated () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* Total allocated words (all heaps: the envelope arena and the exact
    window are big enough to be allocated directly on the major heap, so a
@@ -260,37 +192,3 @@ let engine_bench ~quick () =
       engine_case ~name:"operative-broadcast" ~n ~t:8 ~runs (fun cfg ->
           Consensus.Operative_broadcast.protocol_buffered ~source:0 cfg))
     (if quick then [ 64 ] else [ 64; 128 ])
-
-let benchmark () =
-  let tests =
-    [
-      test_thm1;
-      test_thm3;
-      test_bjbo;
-      test_abraham;
-      test_thm2;
-      test_coin_game;
-      test_expander;
-    ]
-  in
-  Bench_util.section "Bechamel micro-benchmarks (one per experiment)";
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true
-                       ~predictors:[| Measure.run |])
-          (Instance.monotonic_clock) results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-40s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-40s (no estimate)\n%!" name)
-        analyzed)
-    tests

@@ -96,11 +96,12 @@ let run_case case drop seed =
   let proto = case.build cfg in
   let inputs = Array.init case.n (fun i -> i mod 2) in
   match
-    Supervise.run_net ~budget:!budget ~net:spec proto cfg
+    Supervise.run ~budget:!budget ~net:spec proto cfg
       ~adversary:Adversary.none ~inputs
   with
   | Error (kind, _) -> raise (Supervise.Breach kind)
-  | Ok (o, d) ->
+  | Ok (_, None) -> assert false (* a run with a net always reports *)
+  | Ok (o, Some d) ->
       {
         rounds =
           (match o.Sim.Engine.decided_round with

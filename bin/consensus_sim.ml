@@ -18,7 +18,7 @@ let print_tail lines =
     List.iter (fun l -> Fmt.pr "  %s@." l) lines
   end
 
-let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
+let run_cmd spec0 seeds trace trace_dir trace_tail cache =
   let builder =
     match Run_spec.resolve spec0 with
     | Ok b -> b
@@ -28,46 +28,38 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
   in
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
   Option.iter ensure_dir trace_dir;
-  let store = Run_spec.Cli.store_of_flags ~cache ~no_cache in
+  let store = Run_spec.Cli.store_of_flags ~cache in
   let { Run_spec.protocol; n; t_max = t; _ } = spec0 in
   let failures = ref 0 in
   let run_one ~seed ~verbose =
     let spec = { spec0 with Run_spec.seed } in
     let proto_name = B.name in
-    let tail =
-      if trace_tail > 0 then Some (Trace.Tail.create ~rounds:trace_tail ())
-      else None
-    in
-    let collector = if trace then Some (Trace.Metrics.collector ()) else None in
-    let file_sink =
+    let file =
       Option.map
         (fun dir ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "run.%s.seed%d.trace.jsonl" B.name seed)
-          in
-          (path, Trace.Sink.file ~path))
+          Filename.concat dir
+            (Printf.sprintf "run.%s.seed%d.trace.jsonl" B.name seed))
         trace_dir
     in
-    let sinks =
-      List.filter_map Fun.id
-        [
-          Option.map Trace.Tail.sink tail;
-          Option.map fst collector;
-          Option.map snd file_sink;
-        ]
+    let obs =
+      Trace.Observers.create ~tail:trace_tail ~metrics:trace ?file ()
     in
-    let tsink =
-      match sinks with [] -> None | l -> Some (Trace.Sink.tee_all l)
+    let tail_lines () =
+      Option.value (Trace.Observers.tail_lines obs) ~default:[]
     in
     (* one result shape for the linkless and lossy-link paths; the
        degradation report rides along when the spec has a net. The spec's
        canonical string is also the cache key, so a repeated run with
        --cache is served from the store. *)
-    let result = Run_spec.execute ?trace:tsink ?store spec in
-    Option.iter (fun (path, s) -> Trace.Sink.close s;
-        if verbose then Fmt.pr "trace written      : %s@." path)
-      file_sink;
+    let result =
+      Fun.protect
+        ~finally:(fun () -> Trace.Observers.close obs)
+        (fun () ->
+          Run_spec.execute ?trace:(Trace.Observers.sink obs) ?store spec)
+    in
+    Option.iter
+      (fun path -> if verbose then Fmt.pr "trace written      : %s@." path)
+      file;
     match result with
     | Error ((Supervise.Degraded _ as kind), partial) ->
         (* beyond the omission model: a structured quarantine record with a
@@ -83,8 +75,7 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
             replay = Some replay;
             kind;
             elapsed_s = 0.;
-            trace =
-              (match tail with Some tl -> Trace.Tail.lines tl | None -> []);
+            trace = tail_lines ();
           }
         in
         Fmt.pr "seed %-4d: DEGRADED BEYOND MODEL — %a@." seed
@@ -99,7 +90,7 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
         incr failures;
         Fmt.pr "seed %-4d: SUPERVISION FAILURE — %a@." seed
           Supervise.pp_failure_kind kind;
-        Option.iter (fun tl -> print_tail (Trace.Tail.lines tl)) tail
+        print_tail (tail_lines ())
     | Ok (o, dopt) ->
         let agreement =
           (* with a lossy link, agreement is judged over the effective
@@ -137,15 +128,14 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
             | Some v -> Printf.sprintf "decision=%d" v
             | None -> "NO AGREEMENT");
         Option.iter
-          (fun (_, summary) ->
-            Fmt.pr "%a@." Trace.Metrics.pp_summary (summary ()))
-          collector;
+          (Fmt.pr "%a@." Trace.Metrics.pp_summary)
+          (Trace.Observers.summary obs);
         (match agreement with
         | Some v -> if verbose then Fmt.pr "decision           : %d (agreement holds)@." v
         | None ->
             if verbose then
               Fmt.pr "decision           : DISAGREEMENT OR MISSING DECISIONS@.";
-            Option.iter (fun tl -> print_tail (Trace.Tail.lines tl)) tail;
+            print_tail (tail_lines ());
             incr failures)
   in
   (match seeds with
@@ -211,25 +201,27 @@ let dump_failure_trace ~protocols ~dir ~tail_rounds
   with
   | None -> (None, [])
   | Some entry ->
-      let tail = Trace.Tail.create ~rounds:tail_rounds () in
-      let mem, events = Trace.Sink.memory () in
-      let sink = Trace.Sink.tee (Trace.Tail.sink tail) mem in
-      ignore (Harness.Runner.run_entry ~trace:sink entry f.Harness.Fuzz.shrunk);
       ensure_dir dir;
       let path =
         Filename.concat dir
           (Printf.sprintf "fuzz-counterexample.%s.trace.jsonl" entry.id)
       in
-      Trace.File.write ~path (events ());
-      (Some path, Trace.Tail.lines tail)
+      let obs = Trace.Observers.create ~tail:tail_rounds ~file:path () in
+      Fun.protect
+        ~finally:(fun () -> Trace.Observers.close obs)
+        (fun () ->
+          ignore
+            (Harness.Runner.run_entry ?trace:(Trace.Observers.sink obs) entry
+               f.Harness.Fuzz.shrunk));
+      (Some path, Option.value (Trace.Observers.tail_lines obs) ~default:[])
 
-let fuzz_cmd count seed max_n protocol smoke jobs json cache no_cache
-    trace_dir trace_tail =
+let fuzz_cmd count seed max_n protocol smoke jobs json cache trace_dir
+    trace_tail =
   let protocols = fuzz_protocols protocol in
   let count = if smoke then max count 1_000_000 else count in
   let time_budget = if smoke then Some 25.0 else None in
   let jobs = if jobs <= 0 then Exec.default_jobs () else jobs in
-  let store = Run_spec.Cli.store_of_flags ~cache ~no_cache in
+  let store = Run_spec.Cli.store_of_flags ~cache in
   let json_ch = Option.map (fun path -> open_out path) json in
   let emit_json fields =
     match json_ch with
@@ -476,14 +468,9 @@ let run_term =
             "Serve repeated runs from the content-addressed result store in \
              $(docv) (created if missing); misses run and write back.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Ignore --cache: always execute.")
-  in
   Term.(
     const (fun protocol n t x seed seeds adversary inputs bflags net trace
-               trace_dir trace_tail spec_str cache no_cache ->
+               trace_dir trace_tail spec_str cache ->
         let spec =
           match spec_str with
           | Some s -> (
@@ -501,13 +488,13 @@ let run_term =
                 ~budget:(Run_spec.Cli.budget_of_flags bflags)
                 ~protocol ~n ~t_max:t ~seed ()
         in
-        run_cmd spec seeds trace trace_dir trace_tail cache no_cache)
+        run_cmd spec seeds trace trace_dir trace_tail cache)
     $ protocol $ n_arg $ t_arg $ x_arg $ seed_arg $ seeds_arg $ adversary
     $ inputs $ budget_term $ net $ trace_flag $ trace_dir_arg $ trace_tail_arg
         ~doc:
           "Keep the last $(docv) rounds of events; printed when a run fails \
            or disagrees (0 = off)."
-    $ spec_arg $ cache_arg $ no_cache)
+    $ spec_arg $ cache_arg)
 
 let graph_term =
   Term.(const graph_cmd $ n_arg $ delta_c_arg $ seed_arg)
@@ -565,14 +552,9 @@ let fuzz_term =
              instead of re-executed, so a killed soak re-run with the same \
              $(docv) resumes where it stopped.")
   in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Ignore --cache: always execute.")
-  in
   Term.(
     const fuzz_cmd $ count $ seed_arg $ max_n $ protocol $ smoke $ jobs $ json
-    $ cache $ no_cache
+    $ cache
     $ Arg.(
         value & opt string "."
         & info [ "trace-dir" ]

@@ -81,9 +81,24 @@ type shared = {
 
 let log2_ceil = Params.log2_ceil
 
+(* The schedule's shape for [m] members: relay stages per aggregation,
+   spreading rounds and epochs. Pure arithmetic, shared by [make_shared]
+   and [schedule_rounds], so sizing [max_rounds] samples no expander. *)
+let shape ~params ~m ~t_max =
+  if m = 0 then invalid_arg "Core.make_shared: empty member set";
+  let stages = Groups.stages (Groups.sqrt_size m) in
+  let spread_rounds = Params.spread_rounds params ~n:m in
+  let epochs = if m = 1 then 0 else Params.epoch_count params ~n:m ~t_max in
+  (stages, spread_rounds, epochs)
+
+(* every epoch, then the line-14 broadcast slot *)
+let schedule_rounds ~params ~m ~t_max =
+  let stages, spread_rounds, epochs = shape ~params ~m ~t_max in
+  (epochs * ((3 * stages) + spread_rounds)) + 1
+
 let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_max () =
   let m = Array.length members in
-  if m = 0 then invalid_arg "Core.make_shared: empty member set";
+  let stages, spread_rounds, epochs = shape ~params ~m ~t_max in
   let index_of = Hashtbl.create (2 * m) in
   Array.iteri (fun i pid -> Hashtbl.replace index_of pid i) members;
   let part = Groups.sqrt_partition (Array.init m (fun i -> i)) in
@@ -97,9 +112,6 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
     end
   in
   let delta = match graph with Some g -> Expander.delta g | None -> 0 in
-  let stages = Groups.stages part.Groups.group_size in
-  let spread_rounds = Params.spread_rounds params ~n:m in
-  let epochs = if m = 1 then 0 else Params.epoch_count params ~n:m ~t_max in
   let epoch_len = (3 * stages) + spread_rounds in
   let contig =
     let ok = ref true in

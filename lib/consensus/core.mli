@@ -69,6 +69,11 @@ val make_shared :
     pure function of (members, seed, params), hence identical at every
     process without communication. *)
 
+val schedule_rounds : params:Params.t -> m:int -> t_max:int -> int
+(** [rounds] of the instance {!make_shared} would build for [m] members,
+    computed without building it: no partition tables, no expander.
+    Raises [Invalid_argument] when [m = 0], as {!make_shared} does. *)
+
 val rounds : shared -> int
 (** Schedule length: epochs * epoch_len + 1 (the broadcast slot). *)
 

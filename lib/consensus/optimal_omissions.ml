@@ -178,12 +178,9 @@ let protocol_buffered ?(params = Params.default) ?vote_log (cfg : Sim.Config.t)
 (** Rounds the full schedule can occupy (voting + fallback), for sizing
     [Config.max_rounds]. *)
 let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
-  let members = Array.init cfg.Sim.Config.n (fun i -> i) in
-  let shared =
-    Core.make_shared ~members ~seed:cfg.Sim.Config.seed ~params
-      ~t_max:cfg.Sim.Config.t_max ()
-  in
-  Core.rounds shared + Phase_king.rounds ~t_max:cfg.Sim.Config.t_max + 4
+  Core.schedule_rounds ~params ~m:cfg.Sim.Config.n ~t_max:cfg.Sim.Config.t_max
+  + Phase_king.rounds ~t_max:cfg.Sim.Config.t_max
+  + 4
 
 let builder ?params () : Sim.Protocol_intf.builder =
   (module struct

@@ -50,56 +50,67 @@ type state = {
 
 let log2_ceil = Params.log2_ceil
 
-type plan = {
+(* The round-robin schedule: super-process partition, per-phase voting-core
+   lengths and the phase offsets derived from them. Pure arithmetic — no
+   expander is sampled — so [rounds_needed] never pays for a graph, and
+   [make_plan] builds on the same numbers. *)
+type schedule = {
   x : int;
-  sub_shared : Core.shared array;
+  sps : Groups.t;
   core_len : int array;
   phase_core_len : int;
-  flood_rounds : int;
   phase_len : int;
-  graph : Expander.t;
-  op_threshold : int;
   pk_rounds : int;
   safety_start : int;  (** global round of the safety-vote emission *)
-  sps : Groups.t;
+}
+
+(* fault budget of a super-process's sub-run *)
+let sub_t_max sp = max 1 (Array.length sp / 30)
+
+let schedule ~params (cfg : Sim.Config.t) ~x =
+  let n = cfg.Sim.Config.n in
+  let sps = Groups.partition_into (Array.init n (fun i -> i)) x in
+  let x = Groups.group_count sps in
+  let core_len =
+    Array.init x (fun i ->
+        let sp = Groups.group sps i in
+        Core.schedule_rounds ~params ~m:(Array.length sp) ~t_max:(sub_t_max sp))
+  in
+  let phase_core_len = Array.fold_left max 0 core_len in
+  let phase_len = phase_core_len + (2 * log2_ceil n) in
+  {
+    x;
+    sps;
+    core_len;
+    phase_core_len;
+    phase_len;
+    pk_rounds = Phase_king.rounds ~t_max:cfg.Sim.Config.t_max;
+    safety_start = (x * phase_len) + 1;
+  }
+
+type plan = {
+  sch : schedule;
+  sub_shared : Core.shared array;
+  graph : Expander.t;
+  op_threshold : int;
 }
 
 let make_plan ~params (cfg : Sim.Config.t) ~x =
-  let n = cfg.Sim.Config.n in
-  let members = Array.init n (fun i -> i) in
-  let sps = Groups.partition_into members x in
-  let x = Groups.group_count sps in
+  let sch = schedule ~params cfg ~x in
   let sub_shared =
-    Array.init x (fun i ->
-        let sp = Groups.group sps i in
+    Array.init sch.x (fun i ->
+        let sp = Groups.group sch.sps i in
         Core.make_shared ~members:sp
           ~seed:(cfg.Sim.Config.seed + (1000003 * (i + 1)))
-          ~params
-          ~t_max:(max 1 (Array.length sp / 30))
-          ())
+          ~params ~t_max:(sub_t_max sp) ())
   in
-  let core_len = Array.map Core.rounds sub_shared in
-  let phase_core_len = Array.fold_left max 0 core_len in
-  let flood_rounds = 2 * log2_ceil n in
-  let phase_len = phase_core_len + flood_rounds in
-  let delta = Params.delta params ~n in
+  let delta = Params.delta params ~n:cfg.Sim.Config.n in
   let graph =
-    Expander.create_good ~attempts:params.Params.graph_attempts ~n ~delta
+    Expander.create_good ~attempts:params.Params.graph_attempts
+      ~n:cfg.Sim.Config.n ~delta
       ~seed:(Int64.of_int (cfg.Sim.Config.seed + 0xF100D)) ()
   in
-  {
-    x;
-    sub_shared;
-    core_len;
-    phase_core_len;
-    flood_rounds;
-    phase_len;
-    graph;
-    op_threshold = Expander.delta graph / 3;
-    pk_rounds = Phase_king.rounds ~t_max:cfg.Sim.Config.t_max;
-    safety_start = (x * phase_len) + 1;
-    sps;
-  }
+  { sch; sub_shared; graph; op_threshold = Expander.delta graph / 3 }
 
 let iter_empty _f = ()
 
@@ -111,10 +122,10 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
     type nonrec state = state
     type nonrec msg = msg
 
-    let name = Printf.sprintf "param-omissions(x=%d)" p.x
+    let name = Printf.sprintf "param-omissions(x=%d)" p.sch.x
 
     let init _cfg ~pid ~input =
-      let my_phase = Groups.group_of p.sps pid in
+      let my_phase = Groups.group_of p.sch.sps pid in
       {
         pid;
         my_phase;
@@ -256,14 +267,14 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
       in
       (if st.decision <> None then ()
-      else if round < p.safety_start then begin
+      else if round < p.sch.safety_start then begin
         (* round-robin stage: phase-local slots 1..phase_len; the core runs
            in slots 1..core_len for the phase's super-process, flooding in
-           the last flood_rounds slots *)
-        let phase = (round - 1) / p.phase_len in
-        let ls = round - (phase * p.phase_len) in
+           the last 2 ceil(log2 n) slots *)
+        let phase = (round - 1) / p.sch.phase_len in
+        let ls = round - (phase * p.sch.phase_len) in
         let in_my_phase = phase = st.my_phase && st.operative in
-        let cl = p.core_len.(st.my_phase) in
+        let cl = p.sch.core_len.(st.my_phase) in
         (* entry processing (consume slot ls-1's messages) *)
         if ls = 1 then begin
           if phase > 0 then begin
@@ -274,17 +285,17 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
           if in_my_phase then Core.set_candidate st.core st.b
         end
         else if in_my_phase && ls = cl + 1 then finalize_sub st ~iter
-        else if ls > p.phase_core_len + 1 then process_flood st ~iter;
+        else if ls > p.sch.phase_core_len + 1 then process_flood st ~iter;
         (* emission *)
         if in_my_phase && ls <= cl then
           Core.step_into st.core ~slot:ls ~iter:(sub_iter ~phase iter) ~rand
             ~emit:(fun dst m -> emit dst (Sub (phase, m)))
             ~emit_all:(fun ~lo ~hi ~skip ~desc m ->
               emit_all ~lo ~hi ~skip ~desc (Sub (phase, m)))
-        else if ls > p.phase_core_len then flood_emission_into st ~emit
+        else if ls > p.sch.phase_core_len then flood_emission_into st ~emit
       end
       else begin
-        let s = round - p.safety_start in
+        let s = round - p.sch.safety_start in
         if s = 0 then begin
           (* entry: close the last phase; emission: safety vote (line 17) *)
           process_flood st ~iter;
@@ -313,10 +324,10 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         end
         else begin
           match st.pk with
-          | Some pk when s <= p.pk_rounds + 1 ->
+          | Some pk when s <= p.sch.pk_rounds + 1 ->
               Phase_king.step_into pk ~local_round:(s - 1)
                 ~iter:(pk_iter iter) ~emit_all:emit_all_pk
-          | Some pk when s = p.pk_rounds + 2 -> (
+          | Some pk when s = p.sch.pk_rounds + 2 -> (
               let pk = Phase_king.finalize_into pk ~iter:(pk_iter iter) in
               st.pk <- Some pk;
               match Phase_king.decision pk with
@@ -324,7 +335,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
                   st.decision <- Some v;
                   broadcast_into st (Decided v) ~emit_all
               | None -> ())
-          | Some pk when s = p.pk_rounds + 3 ->
+          | Some pk when s = p.sch.pk_rounds + 3 ->
               (* undecided residue: the safety-rule deciders of line 26
                  never broadcast again, so adopt a fallback decider's
                  [Decided] if one arrived, else self-decide the phase-king
@@ -363,8 +374,8 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
 
 (** Total schedule length, for sizing [Config.max_rounds]. *)
 let rounds_needed ?(params = Params.default) ~x (cfg : Sim.Config.t) =
-  let p = make_plan ~params cfg ~x in
-  p.safety_start + 2 + p.pk_rounds + 4
+  let sch = schedule ~params cfg ~x in
+  sch.safety_start + 2 + sch.pk_rounds + 4
 
 let builder ?params ~x () : Sim.Protocol_intf.builder =
   (module struct

@@ -19,6 +19,10 @@ val sqrt_partition : int array -> t
 (** The paper's sqrt-decomposition: ceil(sqrt m) groups of size at most
     ceil(sqrt m). *)
 
+val sqrt_size : int -> int
+(** The group size {!sqrt_partition} uses for [m] members: ceil(sqrt m),
+    at least 1. *)
+
 val partition_into : int array -> int -> t
 (** Exactly [parts] groups of size at most ceil(m/parts) — the
     super-processes of Algorithm 4. *)

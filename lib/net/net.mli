@@ -14,8 +14,8 @@
     Soundness condition of the reduction: the run is still within the
     source-paper model iff [|adversarial faults ∪ induced faults| <= t].
     {!Degradation.of_transport} computes that effective fault set; a run
-    beyond it must be reported as degraded (see [Supervise.run_net]), never
-    as a consensus result.
+    beyond it must be reported as degraded (see [Supervise.run ~net]),
+    never as a consensus result.
 
     Determinism: all link randomness comes from a private stream salted off
     the run seed — no wall clock, not charged to the protocol's counted

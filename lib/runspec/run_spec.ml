@@ -198,29 +198,15 @@ let config spec builder =
 let execute ?trace ?store spec =
   match resolve spec with
   | Error msg -> invalid_arg ("Run_spec.execute: " ^ msg)
-  | Ok builder -> (
+  | Ok builder ->
       let module B = (val builder : Sim.Protocol_intf.BUILDER) in
       let cfg = config spec builder in
       let proto = B.build cfg in
-      let key = to_string spec in
       let adversary = adversary spec in
       let inputs = inputs spec in
-      match spec.net with
-      | None -> (
-          match
-            Supervise.Cached.run ?trace ~budget:spec.budget ?store ~key
-              proto cfg ~adversary ~inputs
-          with
-          | Ok o -> Ok (o, None)
-          | Error (k, p) -> Error (k, Option.map (fun o -> (o, None)) p))
-      | Some net -> (
-          match
-            Supervise.Cached.run_net ?trace ~budget:spec.budget ?store ~key
-              ~net proto cfg ~adversary ~inputs
-          with
-          | Ok (o, d) -> Ok (o, Some d)
-          | Error (k, p) ->
-              Error (k, Option.map (fun (o, d) -> (o, Some d)) p)))
+      Supervise.run ?trace ~budget:spec.budget ?net:spec.net
+        ?cache:(Option.map (fun st -> (st, to_string spec)) store)
+        proto cfg ~adversary ~inputs
 
 module Cli = struct
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }
@@ -244,9 +230,8 @@ module Cli = struct
         Fmt.epr "%s@." m;
         Stdlib.exit 2
 
-  let store_of_flags ~cache ~no_cache =
-    if no_cache || cache = "" then None
-    else Some (Cache.Store.open_ ~dir:cache ())
+  let store_of_flags ~cache =
+    if cache = "" then None else Some (Cache.Store.open_ ~dir:cache ())
 
   let adversary_names = List.map fst adversaries
   let inputs_names = List.map fst inputs_table

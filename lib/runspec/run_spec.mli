@@ -81,19 +81,17 @@ val execute :
   ?trace:Trace.Sink.t ->
   ?store:Cache.Store.t ->
   t ->
-  ( Sim.Engine.outcome * Net.Degradation.t option,
-    Supervise.failure_kind
-    * (Sim.Engine.outcome * Net.Degradation.t option) option )
-  result
-(** Run the spec under supervision — through {!Supervise.Cached} keyed
-    by {!to_string} when [store] is given, so repeated executions of an
-    identical spec are served from the cache (with a [cache-hit] trace
-    event). The degradation report rides along when the spec has a net.
-    Raises [Invalid_argument] if {!resolve} fails. *)
+  Supervise.run_result
+(** Run the spec under supervision ({!Supervise.run}), over the spec's
+    lossy link if it has one. When [store] is given the run is cached
+    under the key {!to_string}, so repeated executions of an identical
+    spec are served from the cache (with a [cache-hit] trace event). The
+    degradation report rides along when the spec has a net. Raises
+    [Invalid_argument] if {!resolve} fails. *)
 
 (** Shared CLI parsing for the flag spellings common to
     [bin/consensus_sim] and [bench/main.exe]: budgets, [--net],
-    [--cache]/[--no-cache]. Error behavior is identical on both
+    [--cache]. Error behavior is identical on both
     surfaces — one line on stderr, exit 2. *)
 module Cli : sig
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }
@@ -109,9 +107,9 @@ module Cli : sig
   (** Parse a [--net] spec; on error print the parser's one-line message
       and exit 2. *)
 
-  val store_of_flags : cache:string -> no_cache:bool -> Cache.Store.t option
-  (** Open the run cache the [--cache DIR] / [--no-cache] flags select:
-      [None] when the dir is empty or [--no-cache] is given. *)
+  val store_of_flags : cache:string -> Cache.Store.t option
+  (** Open the run cache the [--cache DIR] flag selects: [None] when the
+      dir is empty (the flag was left out). *)
 
   val adversary_names : string list
   val inputs_names : string list

@@ -151,10 +151,159 @@ let failure_json f =
   Buffer.add_char b '}';
   Buffer.contents b
 
+(* --- the run cache's payload codec --- *)
+
+(* Engine-outcome codec. Tokens are space-separated; the two array fields
+   come first and use "." when empty so the token count is fixed.
+   Decisions are comma-joined with "-" for None; faulty is a 0/1
+   character string. *)
+let outcome_to_string (o : Sim.Engine.outcome) =
+  let dec =
+    if Array.length o.Sim.Engine.decisions = 0 then "."
+    else
+      String.concat ","
+        (Array.to_list
+           (Array.map
+              (function None -> "-" | Some v -> string_of_int v)
+              o.Sim.Engine.decisions))
+  in
+  let fau =
+    if Array.length o.Sim.Engine.faulty = 0 then "."
+    else
+      String.init
+        (Array.length o.Sim.Engine.faulty)
+        (fun i -> if o.Sim.Engine.faulty.(i) then '1' else '0')
+  in
+  Printf.sprintf "%s %s %d %s %d %d %d %d %d %d" dec fau
+    o.Sim.Engine.rounds_total
+    (match o.Sim.Engine.decided_round with
+    | None -> "-"
+    | Some r -> string_of_int r)
+    o.Sim.Engine.messages_sent o.Sim.Engine.bits_sent
+    o.Sim.Engine.messages_omitted o.Sim.Engine.rand_calls
+    o.Sim.Engine.rand_bits o.Sim.Engine.faults_used
+
+let outcome_of_string s =
+  match String.split_on_char ' ' s with
+  | [ dec; fau; rt; dr; ms; bs; mo; rc; rb; fu ] -> (
+      try
+        let decisions =
+          if dec = "." then [||]
+          else
+            Array.of_list
+              (List.map
+                 (function "-" -> None | v -> Some (int_of_string v))
+                 (String.split_on_char ',' dec))
+        in
+        let faulty =
+          if fau = "." then [||]
+          else
+            Array.init (String.length fau) (fun i ->
+                match fau.[i] with
+                | '1' -> true
+                | '0' -> false
+                | _ -> failwith "faulty")
+        in
+        Some
+          {
+            Sim.Engine.decisions;
+            faulty;
+            rounds_total = int_of_string rt;
+            decided_round = (if dr = "-" then None else Some (int_of_string dr));
+            messages_sent = int_of_string ms;
+            bits_sent = int_of_string bs;
+            messages_omitted = int_of_string mo;
+            rand_calls = int_of_string rc;
+            rand_bits = int_of_string rb;
+            faults_used = int_of_string fu;
+          }
+      with _ -> None)
+  | _ -> None
+
+let ints_to_token = function
+  | [] -> "."
+  | l -> String.concat "," (List.map string_of_int l)
+
+let ints_of_token = function
+  | "." -> []
+  | s -> List.map int_of_string (String.split_on_char ',' s)
+
+(* Degradation codec: Net.Spec.to_string is canonical (round-trips through
+   of_string) and contains no spaces, so it is a safe leading token. *)
+let degradation_to_string (d : Net.Degradation.t) =
+  Printf.sprintf "%s %d %d %d %d %d %d %d %d %d %d %s %s %s %s %d %b"
+    (Net.Spec.to_string d.Net.Degradation.spec)
+    d.Net.Degradation.attempts d.Net.Degradation.retransmits
+    d.Net.Degradation.drops d.Net.Degradation.dups d.Net.Degradation.delays
+    d.Net.Degradation.stalls d.Net.Degradation.residual
+    d.Net.Degradation.rounds d.Net.Degradation.active_rounds
+    d.Net.Degradation.slots
+    (ints_to_token (Array.to_list d.Net.Degradation.induced_per_pid))
+    (ints_to_token d.Net.Degradation.induced_faulty)
+    (ints_to_token d.Net.Degradation.adversarial_faulty)
+    (ints_to_token d.Net.Degradation.effective_faulty)
+    d.Net.Degradation.t_max d.Net.Degradation.beyond_model
+
+let degradation_of_string s =
+  match String.split_on_char ' ' s with
+  | [ spec; at; rt; dr; du; de; st; rs; ro; ar; sl; ipp; ind; adv; eff; tm; bm ]
+    -> (
+      match Net.Spec.of_string spec with
+      | Error _ -> None
+      | Ok spec -> (
+          try
+            Some
+              {
+                Net.Degradation.spec;
+                attempts = int_of_string at;
+                retransmits = int_of_string rt;
+                drops = int_of_string dr;
+                dups = int_of_string du;
+                delays = int_of_string de;
+                stalls = int_of_string st;
+                residual = int_of_string rs;
+                rounds = int_of_string ro;
+                active_rounds = int_of_string ar;
+                slots = int_of_string sl;
+                induced_per_pid = Array.of_list (ints_of_token ipp);
+                induced_faulty = ints_of_token ind;
+                adversarial_faulty = ints_of_token adv;
+                effective_faulty = ints_of_token eff;
+                t_max = int_of_string tm;
+                beyond_model = bool_of_string bm;
+              }
+          with _ -> None))
+  | _ -> None
+
+(* A linkless payload is the outcome line alone; a lossy-link payload
+   appends the degradation report after one newline. *)
+let result_to_string (o, d) =
+  match d with
+  | None -> outcome_to_string o
+  | Some d -> outcome_to_string o ^ "\n" ^ degradation_to_string d
+
+let result_of_string s =
+  match String.index_opt s '\n' with
+  | None -> Option.map (fun o -> (o, None)) (outcome_of_string s)
+  | Some i -> (
+      match
+        ( outcome_of_string (String.sub s 0 i),
+          degradation_of_string (String.sub s (i + 1) (String.length s - i - 1))
+        )
+      with
+      | Some o, Some d -> Some (o, Some d)
+      | _ -> None)
+
 (* --- supervised engine run --- *)
 
-let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
-    ~adversary ~inputs =
+type run_result =
+  ( Sim.Engine.outcome * Net.Degradation.t option,
+    failure_kind * (Sim.Engine.outcome * Net.Degradation.t option) option )
+  result
+
+(* The engine under the watchdog: the budget is checked after every
+   round, and a raising protocol or adversary becomes [Crashed]. *)
+let watched ?on_round ?trace ?link ~budget proto cfg ~adversary ~inputs =
   let started = Unix.gettimeofday () in
   let tripped = ref None in
   let stop (p : Sim.Engine.progress) =
@@ -204,37 +353,78 @@ let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
             },
           None )
 
-(* --- supervised run over a lossy link --- *)
-
-let run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs =
-  let tr = Net.Transport.create net cfg in
-  let link = Net.Transport.link tr in
+(* One fresh run, linkless or over the lossy link [net]. With a link, the
+   transport's residual losses are composed with the adversary's fault set
+   into a degradation report, and a run beyond the omission model is an
+   error, never a consensus result computed over too many faults. *)
+let run_fresh ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs =
+  let tr = Option.map (fun net -> Net.Transport.create net cfg) net in
   let report (o : Sim.Engine.outcome) =
-    Net.Degradation.of_transport tr ~faulty:o.Sim.Engine.faulty
-      ~t_max:cfg.Sim.Config.t_max
+    Option.map
+      (fun tr ->
+        Net.Degradation.of_transport tr ~faulty:o.Sim.Engine.faulty
+          ~t_max:cfg.Sim.Config.t_max)
+      tr
   in
-  match run ?on_round ?trace ~link ?budget proto cfg ~adversary ~inputs with
-  | Ok o ->
-      let d = report o in
-      if d.Net.Degradation.beyond_model then
-        (* the run left the omission model: report degradation, never a
-           consensus result computed over too many faults *)
-        Error
-          ( Degraded
-              {
-                induced = List.length d.Net.Degradation.induced_faulty;
-                adversarial = List.length d.Net.Degradation.adversarial_faulty;
-                t_max = cfg.Sim.Config.t_max;
-                residual = d.Net.Degradation.residual;
-              },
-            Some (o, d) )
-      else Ok (o, d)
+  match
+    watched ?on_round ?trace
+      ?link:(Option.map Net.Transport.link tr)
+      ~budget proto cfg ~adversary ~inputs
+  with
+  | Ok o -> (
+      match report o with
+      | Some d when d.Net.Degradation.beyond_model ->
+          Error
+            ( Degraded
+                {
+                  induced = List.length d.Net.Degradation.induced_faulty;
+                  adversarial =
+                    List.length d.Net.Degradation.adversarial_faulty;
+                  t_max = cfg.Sim.Config.t_max;
+                  residual = d.Net.Degradation.residual;
+                },
+              Some (o, Some d) )
+      | d -> Ok (o, d))
   | Error (kind, partial) ->
       Error (kind, Option.map (fun o -> (o, report o)) partial)
 
+(* Only successes are cached: failures and degraded runs re-run (and
+   re-report) every time — a quarantine served from a cache would hide a
+   flaky environment. A payload that does not decode, or whose link
+   report does not match [net] (fingerprint collision, hand-edited store),
+   falls through to a fresh run. *)
+let run ?on_round ?trace ?(budget = Budget.unlimited) ?net ?cache proto cfg
+    ~adversary ~inputs =
+  let fresh () =
+    run_fresh ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs
+  in
+  match cache with
+  | None -> fresh ()
+  | Some (store, key) -> (
+      let decode s =
+        match result_of_string s with
+        | Some (_, d) as v when Option.is_some d = Option.is_some net -> v
+        | _ -> None
+      in
+      match Option.bind (Cache.Store.lookup store key) decode with
+      | Some v ->
+          Option.iter
+            (fun sink ->
+              Trace.Sink.emit sink
+                (Trace.Event.Cache_hit
+                   { key = Cache.Store.digest_key store key }))
+            trace;
+          Ok v
+      | None ->
+          let r = fresh () in
+          (match r with
+          | Ok v -> Cache.Store.add store ~key (result_to_string v)
+          | Error _ -> ());
+          r)
+
 (* --- quarantining map --- *)
 
-let map ?jobs ?(budget = Budget.unlimited) ?describe f xs =
+let map_fresh ?jobs ~budget ?describe f xs =
   let describe i x =
     match describe with
     | Some d -> d i x
@@ -282,11 +472,38 @@ let map ?jobs ?(budget = Budget.unlimited) ?describe f xs =
       result)
     xs
 
-let protect ?budget ?descriptor f =
-  let describe =
-    match descriptor with Some d -> Some (fun _ () -> d) | None -> None
-  in
-  (map ~jobs:1 ?budget ?describe (fun () -> f ()) [| () |]).(0)
+(* With a cache: consult the store per element, run only the misses
+   through the domain pool, merge in input order and write fresh
+   successes back. [describe] still sees original indices. *)
+let map ?jobs ?(budget = Budget.unlimited) ?describe ?cache f xs =
+  match cache with
+  | None -> map_fresh ?jobs ~budget ?describe f xs
+  | Some (store, key, (enc, dec)) ->
+      let n = Array.length xs in
+      let cached =
+        Array.map
+          (fun x -> Option.bind (Cache.Store.lookup store (key x)) dec)
+          xs
+      in
+      let torun_idx =
+        Array.of_list
+          (List.filter (fun i -> cached.(i) = None) (List.init n Fun.id))
+      in
+      let describe = Option.map (fun d j x -> d torun_idx.(j) x) describe in
+      let fresh =
+        map_fresh ?jobs ~budget ?describe f
+          (Array.map (fun i -> xs.(i)) torun_idx)
+      in
+      let fresh_pos = Array.make n (-1) in
+      Array.iteri
+        (fun j i ->
+          fresh_pos.(i) <- j;
+          match fresh.(j) with
+          | Ok v -> Cache.Store.add store ~key:(key xs.(i)) (enc v)
+          | Error _ -> ())
+        torun_idx;
+      Array.init n (fun i ->
+          match cached.(i) with Some v -> Ok v | None -> fresh.(fresh_pos.(i)))
 
 (* --- chaos injection --- *)
 
@@ -351,228 +568,4 @@ module Chaos = struct
       let msg_bits = P.msg_bits
       let msg_hint = P.msg_hint
     end)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Content-addressed caching layer over run / run_net / map.           *)
-(* ------------------------------------------------------------------ *)
-
-module Cached = struct
-  (* Engine-outcome codec. Tokens are space-separated; the two array
-     fields come first and use "." when empty so the token count is
-     fixed. Decisions are comma-joined with "-" for None; faulty is a
-     0/1 character string. *)
-  let outcome_to_string (o : Sim.Engine.outcome) =
-    let dec =
-      if Array.length o.Sim.Engine.decisions = 0 then "."
-      else
-        String.concat ","
-          (Array.to_list
-             (Array.map
-                (function None -> "-" | Some v -> string_of_int v)
-                o.Sim.Engine.decisions))
-    in
-    let fau =
-      if Array.length o.Sim.Engine.faulty = 0 then "."
-      else
-        String.init
-          (Array.length o.Sim.Engine.faulty)
-          (fun i -> if o.Sim.Engine.faulty.(i) then '1' else '0')
-    in
-    Printf.sprintf "%s %s %d %s %d %d %d %d %d %d" dec fau
-      o.Sim.Engine.rounds_total
-      (match o.Sim.Engine.decided_round with
-      | None -> "-"
-      | Some r -> string_of_int r)
-      o.Sim.Engine.messages_sent o.Sim.Engine.bits_sent
-      o.Sim.Engine.messages_omitted o.Sim.Engine.rand_calls
-      o.Sim.Engine.rand_bits o.Sim.Engine.faults_used
-
-  let outcome_of_string s =
-    match String.split_on_char ' ' s with
-    | [ dec; fau; rt; dr; ms; bs; mo; rc; rb; fu ] -> (
-        try
-          let decisions =
-            if dec = "." then [||]
-            else
-              Array.of_list
-                (List.map
-                   (function "-" -> None | v -> Some (int_of_string v))
-                   (String.split_on_char ',' dec))
-          in
-          let faulty =
-            if fau = "." then [||]
-            else
-              Array.init (String.length fau) (fun i ->
-                  match fau.[i] with
-                  | '1' -> true
-                  | '0' -> false
-                  | _ -> failwith "faulty")
-          in
-          Some
-            {
-              Sim.Engine.decisions;
-              faulty;
-              rounds_total = int_of_string rt;
-              decided_round =
-                (if dr = "-" then None else Some (int_of_string dr));
-              messages_sent = int_of_string ms;
-              bits_sent = int_of_string bs;
-              messages_omitted = int_of_string mo;
-              rand_calls = int_of_string rc;
-              rand_bits = int_of_string rb;
-              faults_used = int_of_string fu;
-            }
-        with _ -> None)
-    | _ -> None
-
-  let ints_to_token = function
-    | [] -> "."
-    | l -> String.concat "," (List.map string_of_int l)
-
-  let ints_of_token = function
-    | "." -> []
-    | s -> List.map int_of_string (String.split_on_char ',' s)
-
-  (* Degradation codec: Net.Spec.to_string is canonical (round-trips
-     through of_string) and contains no spaces, so it is a safe leading
-     token. *)
-  let degradation_to_string (d : Net.Degradation.t) =
-    Printf.sprintf "%s %d %d %d %d %d %d %d %d %d %d %s %s %s %s %d %b"
-      (Net.Spec.to_string d.Net.Degradation.spec)
-      d.Net.Degradation.attempts d.Net.Degradation.retransmits
-      d.Net.Degradation.drops d.Net.Degradation.dups d.Net.Degradation.delays
-      d.Net.Degradation.stalls d.Net.Degradation.residual
-      d.Net.Degradation.rounds d.Net.Degradation.active_rounds
-      d.Net.Degradation.slots
-      (ints_to_token (Array.to_list d.Net.Degradation.induced_per_pid))
-      (ints_to_token d.Net.Degradation.induced_faulty)
-      (ints_to_token d.Net.Degradation.adversarial_faulty)
-      (ints_to_token d.Net.Degradation.effective_faulty)
-      d.Net.Degradation.t_max d.Net.Degradation.beyond_model
-
-  let degradation_of_string s =
-    match String.split_on_char ' ' s with
-    | [ spec; at; rt; dr; du; de; st; rs; ro; ar; sl; ipp; ind; adv; eff; tm;
-        bm ] -> (
-        match Net.Spec.of_string spec with
-        | Error _ -> None
-        | Ok spec -> (
-            try
-              Some
-                {
-                  Net.Degradation.spec;
-                  attempts = int_of_string at;
-                  retransmits = int_of_string rt;
-                  drops = int_of_string dr;
-                  dups = int_of_string du;
-                  delays = int_of_string de;
-                  stalls = int_of_string st;
-                  residual = int_of_string rs;
-                  rounds = int_of_string ro;
-                  active_rounds = int_of_string ar;
-                  slots = int_of_string sl;
-                  induced_per_pid = Array.of_list (ints_of_token ipp);
-                  induced_faulty = ints_of_token ind;
-                  adversarial_faulty = ints_of_token adv;
-                  effective_faulty = ints_of_token eff;
-                  t_max = int_of_string tm;
-                  beyond_model = bool_of_string bm;
-                }
-            with _ -> None))
-    | _ -> None
-
-  let net_to_string (o, d) =
-    outcome_to_string o ^ "\n" ^ degradation_to_string d
-
-  let net_of_string s =
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i -> (
-        match
-          ( outcome_of_string (String.sub s 0 i),
-            degradation_of_string
-              (String.sub s (i + 1) (String.length s - i - 1)) )
-        with
-        | Some o, Some d -> Some (o, d)
-        | _ -> None)
-
-  let emit_hit trace st key =
-    match trace with
-    | None -> ()
-    | Some sink ->
-        Trace.Sink.emit sink
-          (Trace.Event.Cache_hit { key = Cache.Store.digest_key st key })
-
-  (* The caching rule shared by [run] and [run_net]. Only successes are
-     cached: failures and degraded runs must re-run (and re-report) every
-     time — a quarantine served from a cache would hide a flaky
-     environment. An undecodable payload (fingerprint collision,
-     hand-edited store) falls through to a fresh run. *)
-  let memo ?trace store ~key (enc, dec) fresh =
-    match store with
-    | None -> fresh ()
-    | Some st -> (
-        match Option.bind (Cache.Store.lookup st key) dec with
-        | Some v ->
-            emit_hit trace st key;
-            Ok v
-        | None ->
-            let r = fresh () in
-            (match r with
-            | Ok v -> Cache.Store.add st ~key (enc v)
-            | Error _ -> ());
-            r)
-
-  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
-      ~inputs =
-    memo ?trace store ~key (outcome_to_string, outcome_of_string) (fun () ->
-        run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs)
-
-  let run_net ?on_round ?trace ?budget ?store ~key ~net proto cfg ~adversary
-      ~inputs =
-    memo ?trace store ~key (net_to_string, net_of_string) (fun () ->
-        run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs)
-
-  (* Cache-aware quarantining map: consult the store per element, run
-     only the misses through the domain pool, merge in input order and
-     write fresh successes back. [describe] still sees original indices. *)
-  let map ?jobs ?budget ?describe ?store ~key ~codec f xs =
-    match store with
-    | None -> map ?jobs ?budget ?describe f xs
-    | Some st ->
-        let enc, dec = codec in
-        let n = Array.length xs in
-        let cached = Array.make n None in
-        Array.iteri
-          (fun i x ->
-            match Option.bind (Cache.Store.lookup st (key x)) dec with
-            | Some v -> cached.(i) <- Some v
-            | None -> ())
-          xs;
-        let torun_idx =
-          Array.of_list
-            (List.filter
-               (fun i -> cached.(i) = None)
-               (List.init n (fun i -> i)))
-        in
-        let describe' =
-          Option.map (fun d j x -> d torun_idx.(j) x) describe
-        in
-        let fresh =
-          map ?jobs ?budget ?describe:describe' f
-            (Array.map (fun i -> xs.(i)) torun_idx)
-        in
-        Array.iteri
-          (fun j r ->
-            match r with
-            | Ok v -> Cache.Store.add st ~key:(key xs.(torun_idx.(j))) (enc v)
-            | Error _ -> ())
-          fresh;
-        let fresh_pos = Array.make n (-1) in
-        Array.iteri (fun j i -> fresh_pos.(i) <- j) torun_idx;
-        Array.init n (fun i ->
-            match cached.(i) with
-            | Some v -> Ok v
-            | None -> fresh.(fresh_pos.(i)))
 end

@@ -17,10 +17,14 @@
     - {b chaos mode} ({!Chaos}): seeded fault injection — exceptions,
       artificial stragglers, crashing protocols — used by the test suite
       to prove the containment claims above.
-    - {b result caching} ({!Cached}): successes are memoized in a
-      content-addressed {!Cache.Store}; since every task is a pure
-      function of its key, re-running an interrupted campaign against the
-      same store skips everything it already finished. *)
+    - {b result caching} (the [cache] argument of {!run} and {!map}):
+      successes are memoized in a content-addressed {!Cache.Store}; since
+      every task is a pure function of its key, re-running an interrupted
+      campaign against the same store skips everything it already
+      finished.
+
+    There is one supervised run ({!run}, linkless or over a lossy link,
+    cached or not) and one supervised map ({!map}, cached or not). *)
 
 (** Watchdog budgets for a supervised task. *)
 module Budget : sig
@@ -59,7 +63,7 @@ type failure_kind =
   | Degraded of { induced : int; adversarial : int; t_max : int; residual : int }
       (** a lossy-link run left the omission model: the transport's induced
           faults plus the adversary's exceeded [t_max] (see
-          [Net.Degradation] and {!run_net}) *)
+          [Net.Degradation] and {!run}'s [net] argument) *)
 
 exception Breach of failure_kind
 (** Tasks running under {!map} may raise [Breach kind] to report a
@@ -113,54 +117,63 @@ val failure_json : failure -> string
     "failure":"crashed"|"timeout"|"budget_exceeded"|"degraded",
     ...kind-specific fields...,"elapsed_s":f}]. *)
 
+type run_result =
+  ( Sim.Engine.outcome * Net.Degradation.t option,
+    failure_kind * (Sim.Engine.outcome * Net.Degradation.t option) option )
+  result
+(** A supervised run's result: the outcome, with the lossy link's
+    degradation report when the run had one. An error keeps the partial
+    outcome, when there is one, for forensics. *)
+
 val run :
   ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
   ?trace:Trace.Sink.t ->
-  ?link:Sim.Link_intf.t ->
   ?budget:Budget.t ->
+  ?net:Net.Spec.t ->
+  ?cache:Cache.Store.t * string ->
   Sim.Protocol_intf.buffered ->
   Sim.Config.t ->
   adversary:Sim.Adversary_intf.t ->
   inputs:int array ->
-  (Sim.Engine.outcome, failure_kind * Sim.Engine.outcome option) result
+  run_result
 (** {!Sim.Engine.run} under a watchdog. The budget is checked after every
     round; a breached ceiling stops the engine (same semantics as
-    [max_rounds]) and returns [Error (kind, Some partial_outcome)] with the
+    [max_rounds]) and returns [Error (kind, Some partial)] with the
     partial outcome's counters intact — unless the run had already decided,
     which counts as [Ok]. A raising protocol or adversary (including
     {!Sim.Engine.Illegal_plan}) returns [Error (Crashed _, None)] instead
     of propagating. A run that merely hits [cfg.max_rounds] undecided is
     still [Ok]: not deciding is a measurement, not a supervision failure.
-    [link] plugs a lossy transport into the delivery loop (see
-    {!Sim.Link_intf}); prefer {!run_net}, which also computes the
-    degradation report. *)
 
-val run_net :
-  ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-  ?trace:Trace.Sink.t ->
-  ?budget:Budget.t ->
-  net:Net.Spec.t ->
-  Sim.Protocol_intf.buffered ->
-  Sim.Config.t ->
-  adversary:Sim.Adversary_intf.t ->
-  inputs:int array ->
-  ( Sim.Engine.outcome * Net.Degradation.t,
-    failure_kind * (Sim.Engine.outcome * Net.Degradation.t) option )
-  result
-(** {!run} over a lossy link described by [net]: builds the transport,
-    runs, then composes the transport's residual losses with the
-    adversary's fault set into a [Net.Degradation] report. When the
-    effective fault set exceeds [cfg.t_max] the run is beyond the omission
-    model: the result is [Error (Degraded _, Some (outcome, report))] — the
-    outcome is preserved for forensics but must not be reported as a
-    consensus result. Judge agreement of an [Ok] run with
+    [net] runs over a lossy-link transport built from the spec. The
+    transport's residual losses are then composed with the adversary's
+    fault set into a [Net.Degradation] report, which rides along as
+    [Some report]; without [net] it is [None]. When the effective fault
+    set exceeds [cfg.t_max] the run is beyond the omission model: the
+    result is [Error (Degraded _, Some (outcome, Some report))]. The
+    outcome is kept for forensics but must not be reported as a consensus
+    result. Judge agreement of an [Ok] run with
     [Net.Degradation.agreed_decision], which re-bases the check on the
-    effective fault set. *)
+    effective fault set.
+
+    [cache = (store, key)] memoizes the run in a content-addressed
+    {!Cache.Store}. [key] is the caller's canonical serialization of
+    everything that determines the result (a [Run_spec] string); the
+    store addresses it under [digest(fingerprint, key)], so a code
+    fingerprint bump invalidates everything at once. A hit returns the
+    stored result, emits a {!Trace.Event.Cache_hit} provenance event into
+    [trace] and never invokes [on_round]. A miss runs and stores the
+    result only if it is [Ok]: failures, budget breaches and degraded
+    runs re-run (and re-report) every time, since a quarantine served from
+    a cache would hide a flaky environment. A payload that does not decode
+    falls through to a fresh run. *)
 
 val map :
   ?jobs:int ->
   ?budget:Budget.t ->
   ?describe:(int -> 'a -> descriptor) ->
+  ?cache:
+    Cache.Store.t * ('a -> string) * (('b -> string) * (string -> 'b option)) ->
   ('a -> 'b) ->
   'a array ->
   ('b, failure) result array
@@ -172,14 +185,16 @@ val map :
     engages — results land in input order with the same determinism
     contract as {!Exec.map}. Wall-clock enforcement is cooperative: the
     elapsed time is checked when the task returns (and, for engine tasks
-    run through {!run}, at every round boundary). *)
+    run through {!run}, at every round boundary).
 
-val protect :
-  ?budget:Budget.t ->
-  ?descriptor:descriptor ->
-  (unit -> 'b) ->
-  ('b, failure) result
-(** {!map} over a single task. *)
+    [cache = (store, key, (encode, decode))] makes the map cache-aware:
+    each element is looked up under [key x] first, only misses are
+    dispatched to the domain pool, and fresh successes are written back,
+    encoded, once the pool returns. Results land in input order, and
+    [describe] sees original indices, so the quarantine/replay contract
+    is unchanged. Failures are never cached. A campaign killed mid-batch
+    loses that batch's fresh results; re-running it against the same
+    store serves every earlier batch from the cache. *)
 
 (** Seeded fault injection, for proving the supervision layer contains
     what it claims to contain. *)
@@ -215,71 +230,4 @@ module Chaos : sig
   (** Wrap a protocol so that [step_into] raises {!Injected} at [crash_round]
       (for process [pid] only, if given) — a pathological protocol bug on
       demand, used to test {!run}'s containment. *)
-end
-
-module Cached : sig
-  (** Content-addressed caching layer over {!run}, {!run_net} and
-      {!map}. [key] is the caller's canonical serialization of
-      everything that determines the result (a [Run_spec] string for
-      protocol runs, an experiment point string for bench tasks); the
-      store addresses it under [digest(fingerprint, key)], so a code
-      fingerprint bump invalidates everything at once.
-
-      Only successes are cached. Failures, budget breaches and degraded
-      runs re-run (and re-report) every time: a quarantine served from a
-      cache would hide a flaky environment. Hits emit a
-      {!Trace.Event.Cache_hit} provenance event into the trace sink, if
-      one is given, and never invoke [on_round]. *)
-
-  val outcome_to_string : Sim.Engine.outcome -> string
-  val outcome_of_string : string -> Sim.Engine.outcome option
-
-  val net_to_string : Sim.Engine.outcome * Net.Degradation.t -> string
-  val net_of_string : string -> (Sim.Engine.outcome * Net.Degradation.t) option
-
-  val run :
-    ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-    ?trace:Trace.Sink.t ->
-    ?link:Sim.Link_intf.t ->
-    ?budget:Budget.t ->
-    ?store:Cache.Store.t ->
-    key:string ->
-    Sim.Protocol_intf.buffered ->
-    Sim.Config.t ->
-    adversary:Sim.Adversary_intf.t ->
-    inputs:int array ->
-    (Sim.Engine.outcome, failure_kind * Sim.Engine.outcome option) result
-
-  val run_net :
-    ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-    ?trace:Trace.Sink.t ->
-    ?budget:Budget.t ->
-    ?store:Cache.Store.t ->
-    key:string ->
-    net:Net.Spec.t ->
-    Sim.Protocol_intf.buffered ->
-    Sim.Config.t ->
-    adversary:Sim.Adversary_intf.t ->
-    inputs:int array ->
-    ( Sim.Engine.outcome * Net.Degradation.t,
-      failure_kind * (Sim.Engine.outcome * Net.Degradation.t) option )
-    result
-
-  val map :
-    ?jobs:int ->
-    ?budget:Budget.t ->
-    ?describe:(int -> 'a -> descriptor) ->
-    ?store:Cache.Store.t ->
-    key:('a -> string) ->
-    codec:(('b -> string) * (string -> 'b option)) ->
-    ('a -> 'b) ->
-    'a array ->
-    ('b, failure) result array
-  (** Cache-aware {!map}: each element is looked up first; only misses
-      are dispatched to the domain pool; fresh successes are written
-      back once the pool returns. Results land in input order, and
-      [describe] sees original indices, so the quarantine/replay contract
-      is unchanged. A campaign killed mid-batch loses that batch's fresh
-      results; re-running it against the same store serves every earlier
-      batch from the cache. *)
 end

@@ -582,6 +582,34 @@ module File = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* The observer set one run attaches: tail, metrics, trace file.       *)
+(* ------------------------------------------------------------------ *)
+
+module Observers = struct
+  type t = {
+    tail : Tail.t option;
+    collector : (Sink.t * (unit -> Metrics.summary)) option;
+    sink : Sink.t option;
+  }
+
+  let create ?(tail = 0) ?(metrics = false) ?clock ?file () =
+    let tail = if tail > 0 then Some (Tail.create ~rounds:tail ()) else None in
+    let collector = if metrics then Some (Metrics.collector ?clock ()) else None in
+    let file = Option.map (fun path -> Sink.file ~path) file in
+    let sinks =
+      List.filter_map Fun.id
+        [ Option.map Tail.sink tail; Option.map fst collector; file ]
+    in
+    let sink = match sinks with [] -> None | l -> Some (Sink.tee_all l) in
+    { tail; collector; sink }
+
+  let sink t = t.sink
+  let tail_lines t = Option.map Tail.lines t.tail
+  let summary t = Option.map (fun (_, summary) -> summary ()) t.collector
+  let close t = Option.iter Sink.close t.sink
+end
+
+(* ------------------------------------------------------------------ *)
 (* Structural diff: the first diverging event of two traces.           *)
 (* ------------------------------------------------------------------ *)
 

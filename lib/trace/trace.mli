@@ -188,6 +188,40 @@ module File : sig
       line {!Event.of_json} rejects. *)
 end
 
+(** The observers one run attaches, assembled in one place: a last-K-rounds
+    {!Tail}, a {!Metrics} collector and a full JSONL trace {!Sink.file},
+    teed into one sink. Every observer is off unless asked for. *)
+module Observers : sig
+  type t
+
+  val create :
+    ?tail:int ->
+    ?metrics:bool ->
+    ?clock:(unit -> float) ->
+    ?file:string ->
+    unit ->
+    t
+  (** [tail]: keep the last [tail] rounds of events when positive (default
+      0, off). [metrics]: attach a {!Metrics.collector} with [clock]
+      (default off). [file]: stream every event to this path as JSONL;
+      the file is opened here. *)
+
+  val sink : t -> Sink.t option
+  (** The tee of the attached observers, or [None] when none is on — so
+      an unobserved run stays on the engine's allocation-free off path. *)
+
+  val tail_lines : t -> string list option
+  (** The tail as JSONL lines ({!Tail.lines}); [None] when no tail is
+      kept. *)
+
+  val summary : t -> Metrics.summary option
+  (** The collector's summary; [None] when metrics are off. *)
+
+  val close : t -> unit
+  (** Close the trace file, if any. Idempotent; the tail and the summary
+      stay readable afterwards. *)
+end
+
 (** First-diverging-event comparison — the debuggable form of the test
     suite's "bit-identical" claims. *)
 module Diff : sig

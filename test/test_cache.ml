@@ -1,5 +1,5 @@
-(* Tests for the content-addressed run cache (lib/cache), the cache-aware
-   supervision wrappers (Supervise.Cached), the canonical Run_spec API,
+(* Tests for the content-addressed run cache (lib/cache), the [cache]
+   argument of Supervise.run and Supervise.map, the canonical Run_spec API,
    and the fuzz-harness store dedup. The load-bearing property throughout:
    a cache hit is indistinguishable from a recompute — identical outcome,
    identical JSON rows — except for the cache-hit provenance event. *)
@@ -251,7 +251,102 @@ let test_corrupt_entry_one_recompute () =
         (Cache.Store.lookup s key <> None);
       Cache.Store.close s)
 
-(* --- Supervise.Cached.map --- *)
+(* --- payloads already on disk --- *)
+
+(* Payloads written by the codecs that preceded the merged one, for
+   flood n=8 t=1 seed=2 under the crash adversary: linkless, and over
+   drop=0.1,retries=8. Caches filled before the merge must keep hitting,
+   so both must decode to the run's value and re-encode byte for byte. *)
+let old_payloads =
+  [
+    (None, "0,0,0,0,0,0,0,0 10000000 3 3 112 224 14 0 0 1");
+    ( Some { Net.Spec.default with Net.Spec.drop = 0.1; retries = 8 },
+      "0,0,0,0,0,0,0,0 10000000 3 3 112 224 14 0 0 1\n\
+       drop=0.1,retries=8 115 17 17 0 0 0 0 3 2 18 0,0,0,0,0,0,0,0 . 0 0 1 \
+       false" );
+  ]
+
+let test_old_payloads_roundtrip () =
+  List.iter
+    (fun (net, payload) ->
+      let spec =
+        Run_spec.make ~protocol:"flood" ~n:8 ~t_max:1 ~seed:2
+          ~adversary:"crash" ?net ()
+      in
+      let key = Run_spec.to_string spec in
+      let fresh =
+        match Run_spec.execute spec with
+        | Ok v -> v
+        | Error _ -> Alcotest.failf "%s: uncached run failed" key
+      in
+      with_store (fun _dir open_ ->
+          let s = open_ () in
+          Cache.Store.add s ~key payload;
+          (match Run_spec.execute ~store:s spec with
+          | Ok v ->
+              if v <> fresh then
+                Alcotest.failf "%s: decoded payload differs from the run" key
+          | Error _ -> Alcotest.failf "%s: cached run failed" key);
+          let st = Cache.Store.stats s in
+          Alcotest.(check int) (key ^ ": served from the store") 1
+            st.Cache.Stats.hits;
+          Alcotest.(check int) (key ^ ": no miss") 0 st.Cache.Stats.misses;
+          Cache.Store.close s);
+      with_store (fun _dir open_ ->
+          let s = open_ () in
+          ignore (Run_spec.execute ~store:s spec);
+          Alcotest.(check (option string))
+            (key ^ ": re-encoded byte for byte")
+            (Some payload)
+            (Cache.Store.lookup s key);
+          Cache.Store.close s))
+    old_payloads
+
+(* --- failures are never cached --- *)
+
+let test_failures_not_cached () =
+  let cfg = Sim.Config.make ~n:8 ~t_max:1 ~seed:2 ~max_rounds:4 () in
+  let inputs = Array.init 8 (fun i -> i mod 2) in
+  let run ?budget ?net s key =
+    Supervise.run ?budget ?net ~cache:(s, key)
+      (Consensus.Flood.protocol_buffered cfg)
+      cfg ~adversary:Adversary.none ~inputs
+  in
+  let failing =
+    [
+      ( "degraded",
+        (fun s ->
+          run ~net:(Result.get_ok (Net.Spec.of_string "drop=0.9,retries=0")) s
+            "degraded"),
+        function Supervise.Degraded _ -> true | _ -> false );
+      ( "budget",
+        (fun s ->
+          run ~budget:(Supervise.Budget.make ~max_rounds:1 ()) s "budget"),
+        function Supervise.Budget_exceeded _ -> true | _ -> false );
+    ]
+  in
+  List.iter
+    (fun (name, go, expected) ->
+      with_store (fun _dir open_ ->
+          let s = open_ () in
+          for call = 1 to 2 do
+            (match go s with
+            | Error (kind, _) when expected kind -> ()
+            | _ -> Alcotest.failf "%s: expected the run to fail" name);
+            Alcotest.(check int)
+              (Printf.sprintf "%s call %d: store stays empty" name call)
+              0 (Cache.Store.entries s);
+            Alcotest.(check int)
+              (Printf.sprintf "%s call %d: every call misses" name call)
+              call
+              (Cache.Store.stats s).Cache.Stats.misses
+          done;
+          Alcotest.(check int) (name ^ ": nothing written") 0
+            (Cache.Store.stats s).Cache.Stats.writes;
+          Cache.Store.close s))
+    failing
+
+(* --- Supervise.map with a cache --- *)
 
 let test_cached_map_merge () =
   with_store (fun _dir open_ ->
@@ -265,7 +360,7 @@ let test_cached_map_merge () =
       let ran = Array.make 5 false in
       let labels = ref [] in
       let results =
-        Supervise.Cached.map ~jobs:1 ~store:s ~key ~codec
+        Supervise.map ~jobs:1 ~cache:(s, key, codec)
           ~describe:(fun i x ->
             labels := (i, x) :: !labels;
             {
@@ -493,7 +588,11 @@ let suite =
       test_hit_equals_recompute_net;
     Alcotest.test_case "corrupt entry costs one recompute" `Quick
       test_corrupt_entry_one_recompute;
-    Alcotest.test_case "Cached.map merges hits and misses" `Quick
+    Alcotest.test_case "payloads on disk decode + re-encode" `Quick
+      test_old_payloads_roundtrip;
+    Alcotest.test_case "failures are never cached" `Quick
+      test_failures_not_cached;
+    Alcotest.test_case "map merges cache hits and misses" `Quick
       test_cached_map_merge;
     Alcotest.test_case "Run_spec canonical roundtrip" `Quick
       test_run_spec_roundtrip;

@@ -234,6 +234,92 @@ let test_msg_bits () =
   Alcotest.(check (option int)) "counts carry no hint" None
     (Core.msg_hint (Core.Counts { stage = 1; bag = 0; c }))
 
+(* --- schedule lengths without building the instance --- *)
+
+(* [rounds_needed] of optimal, crash-sub and param is arithmetic; it must
+   equal the schedule the builders actually lay out. The references below
+   build every voting core (expander included) and read its length, as
+   the builders do. *)
+let built_rounds ~params ~members ~seed ~t_max =
+  Core.rounds (Core.make_shared ~members ~seed ~params ~t_max ())
+
+let test_schedule_rounds_grid () =
+  let module P = Consensus.Params in
+  let param_sets =
+    [
+      P.default;
+      { P.default with P.spread_c = 2; delta_c = 4 };
+      { P.default with P.epochs = P.Fixed 3 };
+    ]
+  in
+  let cases = ref 0 in
+  let check name expected got =
+    incr cases;
+    if expected <> got then
+      Alcotest.failf "%s: built schedule has %d rounds, arithmetic says %d"
+        name expected got
+  in
+  List.iter
+    (fun params ->
+      for n = 1 to 64 do
+        List.iter
+          (fun t_max ->
+            List.iter
+              (fun seed ->
+                let name = Printf.sprintf "n=%d t=%d seed=%d" n t_max seed in
+                let members = Array.init n Fun.id in
+                let core = built_rounds ~params ~members ~seed ~t_max in
+                check ("core " ^ name) core
+                  (Core.schedule_rounds ~params ~m:n ~t_max);
+                let cfg = Sim.Config.make ~n ~t_max ~seed () in
+                let pk = Consensus.Phase_king.rounds ~t_max in
+                check ("optimal " ^ name)
+                  (core + pk + 4)
+                  (Consensus.Optimal_omissions.rounds_needed ~params cfg);
+                check ("crash-sub " ^ name)
+                  (core + (4 * P.log2_ceil n) + pk + 8)
+                  (Consensus.Crash_subquadratic.rounds_needed ~params cfg);
+                List.iter
+                  (fun x ->
+                    if x <= n then begin
+                      let sps = Groups.partition_into members x in
+                      let phase_len =
+                        Array.fold_left max 0
+                          (Array.init (Groups.group_count sps) (fun i ->
+                               let sp = Groups.group sps i in
+                               built_rounds ~params ~members:sp
+                                 ~seed:(seed + (1000003 * (i + 1)))
+                                 ~t_max:(max 1 (Array.length sp / 30))))
+                        + (2 * P.log2_ceil n)
+                      in
+                      check
+                        (Printf.sprintf "param x=%d %s" x name)
+                        ((Groups.group_count sps * phase_len) + 1 + 2 + pk + 4)
+                        (Consensus.Param_omissions.rounds_needed ~params ~x
+                           cfg)
+                    end)
+                  [ 2; 3; 4; 7 ])
+              [ 1; 9 ])
+          (List.sort_uniq compare
+             (List.filter (fun t -> t < n) [ 0; 1; 2; n / 3 ]))
+      done)
+    param_sets;
+  (* the registry's bound is the same arithmetic plus its slack *)
+  let cfg = Sim.Config.make ~n:40 ~t_max:1 ~seed:5 () in
+  List.iter
+    (fun (id, needed) ->
+      match Harness.Registry.find id with
+      | Ok e ->
+          check ("registry " ^ id) (needed + 10)
+            (Harness.Registry.rounds_bound e cfg)
+      | Error m -> Alcotest.fail m)
+    [
+      ("optimal", Consensus.Optimal_omissions.rounds_needed cfg);
+      ("crash-sub", Consensus.Crash_subquadratic.rounds_needed cfg);
+      ("param-x2", Consensus.Param_omissions.rounds_needed ~x:2 cfg);
+    ];
+  Alcotest.(check bool) "grid is not empty" true (!cases > 1000)
+
 let suite =
   [
     Alcotest.test_case "clean run decides" `Quick test_clean_run_decides;
@@ -252,4 +338,6 @@ let suite =
     Alcotest.test_case "two-member core" `Quick test_two_member_core;
     Alcotest.test_case "set_candidate" `Quick test_set_candidate;
     Alcotest.test_case "message bits" `Quick test_msg_bits;
+    Alcotest.test_case "schedule rounds = built schedule (grid)" `Quick
+      test_schedule_rounds_grid;
   ]

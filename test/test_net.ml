@@ -211,16 +211,17 @@ let test_masking () =
       Supervise.run (Consensus.Flood.protocol_buffered cfg) cfg
         ~adversary:Adversary.none ~inputs
     with
-    | Ok o -> o
-    | Error _ -> Alcotest.fail "baseline run failed"
+    | Ok (o, None) -> o
+    | _ -> Alcotest.fail "baseline run failed"
   in
   let net = spec_of "drop=0.3,retries=10" in
   match
-    Supervise.run_net ~net (Consensus.Flood.protocol_buffered cfg) cfg
+    Supervise.run ~net (Consensus.Flood.protocol_buffered cfg) cfg
       ~adversary:Adversary.none ~inputs
   with
   | Error _ -> Alcotest.fail "masked run reported a failure"
-  | Ok (o, d) ->
+  | Ok (_, None) -> Alcotest.fail "a run over a net must report degradation"
+  | Ok (o, Some d) ->
       Alcotest.(check int) "residual" 0 d.Net.Degradation.residual;
       Alcotest.(check (list int)) "induced" [] d.Net.Degradation.induced_faulty;
       Alcotest.(check bool) "in model" false d.Net.Degradation.beyond_model;
@@ -238,12 +239,12 @@ let test_beyond_model () =
   let inputs = Array.init 8 (fun i -> i mod 2) in
   let net = spec_of "drop=0.9,retries=0" in
   match
-    Supervise.run_net ~net (Consensus.Flood.protocol_buffered cfg) cfg
+    Supervise.run ~net (Consensus.Flood.protocol_buffered cfg) cfg
       ~adversary:Adversary.none ~inputs
   with
   | Ok (_, d) ->
       Alcotest.failf "beyond-model run reported Ok (%s)"
-        (Net.Degradation.to_json d)
+        (Option.fold ~none:"no report" ~some:Net.Degradation.to_json d)
   | Error (kind, partial) -> (
       (match kind with
       | Supervise.Degraded { induced; adversarial; t_max; residual } ->
@@ -255,8 +256,9 @@ let test_beyond_model () =
           Alcotest.failf "expected Degraded, got %s"
             (Fmt.str "%a" Supervise.pp_failure_kind k));
       (match partial with
-      | None -> Alcotest.fail "degraded run lost its forensic outcome"
-      | Some (_, d) ->
+      | None | Some (_, None) ->
+          Alcotest.fail "degraded run lost its forensic outcome"
+      | Some (_, Some d) ->
           Alcotest.(check bool) "report flags beyond_model" true
             d.Net.Degradation.beyond_model;
           Alcotest.(check bool) "effective set exceeds t" true

@@ -27,7 +27,7 @@ let srun ?budget ?(proto = echo) ?(n = 8) ?(max_rounds = 10) () =
 let test_round_budget () =
   (* echo decides at round 4; a 2-round ceiling trips first *)
   match srun ~budget:(Supervise.Budget.make ~max_rounds:2 ()) () with
-  | Error (Supervise.Budget_exceeded b, Some partial) ->
+  | Error (Supervise.Budget_exceeded b, Some (partial, None)) ->
       Alcotest.(check string) "metric" "rounds" b.Supervise.metric;
       Alcotest.(check int) "tripped at round 2" 2 b.at_round;
       Alcotest.(check int) "partial outcome kept its counters" 2
@@ -38,7 +38,7 @@ let test_round_budget () =
 let test_message_budget () =
   (* echo broadcasts 8*7 = 56 messages a round; 60 allows one round *)
   match srun ~budget:(Supervise.Budget.make ~max_messages:60 ()) () with
-  | Error (Supervise.Budget_exceeded b, Some partial) ->
+  | Error (Supervise.Budget_exceeded b, Some (partial, None)) ->
       Alcotest.(check string) "metric" "messages" b.Supervise.metric;
       Alcotest.(check int) "tripped at round 2" 2 b.at_round;
       Alcotest.(check int) "actual = cumulative messages" 112
@@ -51,7 +51,7 @@ let test_rand_bits_budget () =
   (* only pid 0 flips a coin, one bit per round; ceiling 2 is inclusive,
      so the third bit trips it *)
   match srun ~budget:(Supervise.Budget.make ~max_rand_bits:2 ()) () with
-  | Error (Supervise.Budget_exceeded b, Some partial) ->
+  | Error (Supervise.Budget_exceeded b, Some (partial, None)) ->
       Alcotest.(check string) "metric" "rand_bits" b.Supervise.metric;
       Alcotest.(check int) "tripped at round 3" 3 b.at_round;
       Alcotest.(check int) "partial rand bits" 3 partial.Sim.Engine.rand_bits
@@ -59,7 +59,7 @@ let test_rand_bits_budget () =
 
 let test_wall_budget () =
   match srun ~budget:(Supervise.Budget.make ~wall_s:1e-9 ()) () with
-  | Error (Supervise.Timeout { limit_s; elapsed_s }, Some partial) ->
+  | Error (Supervise.Timeout { limit_s; elapsed_s }, Some (partial, None)) ->
       Alcotest.(check bool) "limit recorded" true (limit_s = 1e-9);
       Alcotest.(check bool) "elapsed > limit" true (elapsed_s > limit_s);
       Alcotest.(check int) "stopped after the first round" 1
@@ -70,9 +70,9 @@ let test_decided_beats_breach () =
   (* the decision lands at round 4, the same round the ceiling would trip:
      deciding wins — a finished measurement is never a supervision failure *)
   match srun ~budget:(Supervise.Budget.make ~max_rounds:4 ()) () with
-  | Ok o ->
+  | Ok (o, None) ->
       Alcotest.(check (option int)) "decided" (Some 4) o.Sim.Engine.decided_round
-  | Error _ -> Alcotest.fail "a decided run must be Ok"
+  | _ -> Alcotest.fail "a decided linkless run must be Ok (_, None)"
 
 let test_max_rounds_is_not_a_breach () =
   (* running out of cfg.max_rounds undecided is a measurement, not a
@@ -80,17 +80,17 @@ let test_max_rounds_is_not_a_breach () =
   match
     srun ~budget:(Supervise.Budget.make ~max_rounds:50 ()) ~max_rounds:3 ()
   with
-  | Ok o ->
+  | Ok (o, None) ->
       Alcotest.(check (option int)) "undecided" None o.Sim.Engine.decided_round;
       Alcotest.(check int) "capped by config" 3 o.rounds_total
-  | Error _ -> Alcotest.fail "cfg.max_rounds exhaustion must stay Ok"
+  | _ -> Alcotest.fail "cfg.max_rounds exhaustion must stay Ok (_, None)"
 
 let test_unlimited_budget_ok () =
   match srun ~budget:Supervise.Budget.unlimited () with
-  | Ok o ->
+  | Ok (o, None) ->
       Alcotest.(check (option int)) "decides normally" (Some 4)
         o.Sim.Engine.decided_round
-  | Error _ -> Alcotest.fail "unlimited budget must not interfere"
+  | _ -> Alcotest.fail "unlimited budget must not interfere"
 
 let test_budget_validation () =
   Alcotest.check_raises "non-positive ceiling rejected"
@@ -241,7 +241,7 @@ let test_map_wall_timeout () =
   | Ok 1 -> ()
   | _ -> Alcotest.fail "fast task unaffected"
 
-let test_protect_and_json () =
+let test_one_task_map_and_json () =
   let d =
     {
       Supervise.d_label = "solo \"quoted\"";
@@ -249,7 +249,11 @@ let test_protect_and_json () =
       d_replay = Some "echo replay";
     }
   in
-  match Supervise.protect ~descriptor:d (fun () -> failwith "boom") with
+  match
+    (Supervise.map ~jobs:1 ~describe:(fun _ () -> d)
+       (fun () -> failwith "boom")
+       [| () |]).(0)
+  with
   | Ok _ -> Alcotest.fail "raising task must be quarantined"
   | Error fl ->
       Alcotest.(check int) "single-task index" 0 fl.Supervise.index;
@@ -333,8 +337,8 @@ let suite =
     Alcotest.test_case "Breach kind passthrough" `Quick
       test_map_breach_passthrough;
     Alcotest.test_case "map wall timeout" `Quick test_map_wall_timeout;
-    Alcotest.test_case "protect + quarantine JSON schema" `Quick
-      test_protect_and_json;
+    Alcotest.test_case "one-task map + quarantine JSON schema" `Quick
+      test_one_task_map_and_json;
     Alcotest.test_case "chaos pick" `Quick test_chaos_pick;
     Alcotest.test_case "chaos masks bound-checked and sparse-safe" `Quick
       test_chaos_mask_bounds;

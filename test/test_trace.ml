@@ -242,11 +242,13 @@ let test_diff_prefix () =
 let test_breach_traced_in_failure_record () =
   let lines = [ {|{"ev":"round-start","round":7}|} ] in
   match
-    Supervise.protect (fun () ->
-        raise
-          (Supervise.Breach_traced
-             ( Supervise.Crashed { exn_text = "boom"; backtrace = "" },
-               lines )))
+    (Supervise.map ~jobs:1
+       (fun () ->
+         raise
+           (Supervise.Breach_traced
+              ( Supervise.Crashed { exn_text = "boom"; backtrace = "" },
+                lines )))
+       [| () |]).(0)
   with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error f ->
